@@ -153,7 +153,7 @@ void BenchShuffleAdd(Report& report, int servers, bool small) {
   std::vector<mr::KV> input;
   input.reserve(static_cast<std::size_t>(records));
   for (int i = 0; i < records; ++i) {
-    input.push_back(mr::KV{"key-" + std::to_string(i % 4096), "v" + std::to_string(i)});
+    input.push_back(mr::KV{"key-" + std::to_string(i % 4096), 'v' + std::to_string(i)});
   }
 
   mr::ShuffleWriter w("im/bench/b0", ranges, client, 1_GiB, std::chrono::milliseconds(0));
@@ -233,7 +233,7 @@ double BenchMultiJob(Report& report, mr::Cluster& cluster, bool small) {
     threads.emplace_back([&cluster, &bad, jobs_each, expect, t] {
       for (int i = 0; i < jobs_each; ++i) {
         mr::JobSpec job = apps::WordCountJob("mj", "corpus");
-        job.user = "u" + std::to_string(t);
+        job.user = 'u' + std::to_string(t);
         mr::JobResult r = cluster.Submit(std::move(job)).Wait();
         if (!r.status.ok() || ChecksumOutput(r.output) != expect) bad.store(true);
       }
@@ -274,13 +274,12 @@ void BenchSaturation(Report& report, const char* argv0, const std::string& corpu
   const int jobs_each = small ? 2 : 6;
 
   apps::ProcFleet fleet;
-  const int port = apps::FleetPort(26000);
-  mr::DeploymentOptions dopts;
-  dopts.bootstrap_port = port;
+  mr::DeploymentOptions dopts;  // bootstrap port 0: the kernel picks a free one
   dopts.cache_capacity = 64ull << 20;
   auto coordinator = std::make_shared<mr::DeploymentCoordinator>(dopts);
-  if (coordinator->bootstrap_port() < 0) {
-    std::fprintf(stderr, "saturation: cannot bind bootstrap port %d\n", port);
+  const int port = coordinator->bootstrap_port();
+  if (port < 0) {
+    std::fprintf(stderr, "saturation: cannot bind a bootstrap port\n");
     std::exit(1);
   }
   if (!fleet.Spawn(argv0, workers, port)) std::exit(1);
@@ -315,7 +314,7 @@ void BenchSaturation(Report& report, const char* argv0, const std::string& corpu
       threads.emplace_back([&cluster, &bad, jobs_each, expect, t] {
         for (int i = 0; i < jobs_each; ++i) {
           mr::JobSpec job = apps::WordCountJob("sat", "corpus");
-          job.user = "u" + std::to_string(t);
+          job.user = 'u' + std::to_string(t);
           mr::JobResult r = cluster.Submit(std::move(job)).Wait();
           if (!r.status.ok() || ChecksumOutput(r.output) != expect) bad.store(true);
         }

@@ -181,13 +181,12 @@ int main(int argc, char** argv) {
   apps::ProcFleet fleet;
   std::shared_ptr<mr::DeploymentCoordinator> coordinator;
   if (procs) {
-    const int port = apps::FleetPort(24000);
-    mr::DeploymentOptions dopts;
-    dopts.bootstrap_port = port;
+    mr::DeploymentOptions dopts;  // bootstrap port 0: the kernel picks a free one
     dopts.cache_capacity = 32ull << 20;  // match the emulated drill's 32 MiB
     coordinator = std::make_shared<mr::DeploymentCoordinator>(dopts);
-    if (coordinator->bootstrap_port() < 0) {
-      std::fprintf(stderr, "failed to bind bootstrap port %d\n", port);
+    const int port = coordinator->bootstrap_port();
+    if (port < 0) {
+      std::fprintf(stderr, "failed to bind a bootstrap port\n");
       return 1;
     }
     if (!fleet.Spawn(argv[0], 8, port)) return 1;

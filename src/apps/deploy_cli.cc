@@ -111,7 +111,7 @@ ParsedFlags Parse(const FlagSet& set, int argc, char** argv) {
         out.error = arg + " takes no value";
         return out;
       }
-      out.values[arg] = "1";
+      out.values[arg] = '1';
       continue;
     }
     if (!has_value) {

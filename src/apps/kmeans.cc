@@ -59,7 +59,7 @@ void KMeansMapper::Map(std::string_view record, mr::MapContext& ctx) {
 void KMeansMapper::Finish(mr::MapContext& ctx) {
   for (std::size_t c = 0; c < counts_.size(); ++c) {
     if (counts_[c] == 0) continue;
-    ctx.Emit("c" + std::to_string(c),
+    ctx.Emit('c' + std::to_string(c),
              std::to_string(counts_[c]) + "|" + JoinDoubles(sums_[c]));
   }
   sums_.clear();

@@ -37,8 +37,6 @@ void MaybeRunFleetWorker(int argc, char** argv) {
   std::_Exit(host.Serve());
 }
 
-int FleetPort(int base) { return base + static_cast<int>(getpid()) % 20000; }
-
 bool ProcFleet::Spawn(const char* argv0, int n, int port) {
   char self[4096];
   ssize_t len = ::readlink("/proc/self/exe", self, sizeof(self) - 1);

@@ -8,10 +8,10 @@
 //   int main(int argc, char** argv) {
 //     apps::MaybeRunFleetWorker(argc, argv);   // child re-exec lands here
 //     ...
+//     auto coordinator = ...;                  // DeploymentCoordinator, port 0
 //     apps::ProcFleet fleet;
-//     int port = apps::FleetPort(24000);
-//     fleet.Spawn(argv[0], 8, port);           // fork+exec self 8x
-//     ... DeploymentCoordinator on `port`, Cluster over it ...
+//     fleet.Spawn(argv[0], 8, coordinator->bootstrap_port());  // fork+exec self 8x
+//     ... Cluster over the coordinator ...
 //     coordinator->ShutdownAll();
 //     if (!fleet.ExpectCleanExit()) return 1;  // every worker must exit 0
 //   }
@@ -38,11 +38,6 @@ extern const char kFleetWorkerFlag[];
 /// 127.0.0.1:PORT and exit the process with Serve()'s return code (never
 /// returns). Call first thing in main(), before argument validation.
 void MaybeRunFleetWorker(int argc, char** argv);
-
-/// A deterministic-but-collision-avoiding localhost port for the
-/// coordinator's bootstrap listener: base + pid % 20000. Two drills running
-/// concurrently under `ctest -j` get different ports.
-int FleetPort(int base);
 
 /// Parent-side handle on the forked worker processes.
 class ProcFleet {

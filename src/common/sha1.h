@@ -5,6 +5,10 @@
 // self-contained implementation so the library has no crypto dependency;
 // SHA-1's cryptographic weakness is irrelevant here — only uniformity of the
 // digest matters for ring placement.
+//
+// Blocks are compressed by the x86 SHA extensions where the CPU has them
+// (chosen once from CPUID) and by a portable compressor everywhere else;
+// both produce the same digests.
 #pragma once
 
 #include <array>
@@ -45,8 +49,6 @@ class Sha1 {
   }
 
  private:
-  void ProcessBlock(const std::uint8_t* block);
-
   std::array<std::uint32_t, 5> state_;
   std::uint64_t total_len_ = 0;           // bytes absorbed so far
   std::array<std::uint8_t, 64> buffer_;   // partial block
@@ -55,5 +57,23 @@ class Sha1 {
 
 /// Lowercase hex string of a digest (40 chars).
 std::string ToHex(const Sha1Digest& d);
+
+// The block compressors behind Sha1, exposed so tests can compare them
+// directly. Each folds `blocks` consecutive 64-byte blocks of `data` into
+// the five state words.
+namespace sha1_internal {
+
+void CompressPortable(std::uint32_t* state, const std::uint8_t* data, std::size_t blocks);
+
+#if defined(__x86_64__)
+/// Whether this CPU has the SHA extensions plus the SSSE3 and SSE4.1
+/// shuffles CompressShaNi needs (CPUID leaf 7 EBX bit 29, leaf 1 ECX).
+bool HaveShaNi();
+
+/// Call only where HaveShaNi().
+void CompressShaNi(std::uint32_t* state, const std::uint8_t* data, std::size_t blocks);
+#endif
+
+}  // namespace sha1_internal
 
 }  // namespace eclipse

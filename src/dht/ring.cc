@@ -9,7 +9,7 @@ void Ring::AddServer(int server, int vnodes) {
   if (vnodes < 1) vnodes = 1;
   for (int v = 0; v < vnodes; ++v) {
     std::string name = "server-" + std::to_string(server);
-    if (vnodes > 1) name += "#" + std::to_string(v);
+    if (vnodes > 1) name += '#' + std::to_string(v);
     HashKey pos = KeyOf(name);
     // In the astronomically unlikely event of a SHA-1-prefix collision,
     // probe forward deterministically.

@@ -116,10 +116,14 @@ ConnPool::Lease ConnPool::Acquire(const std::string& host, int port,
       lease.reused = true;
     }
   }
-  if (lease.reused) {
-    if (auto* c = reuse_.load(std::memory_order_acquire)) c->Add();
-    return lease;
-  }
+  if (!lease.reused) return Connect(host, port, connect_timeout_ms);
+  if (auto* c = reuse_.load(std::memory_order_acquire)) c->Add();
+  return lease;
+}
+
+ConnPool::Lease ConnPool::Connect(const std::string& host, int port,
+                                  int connect_timeout_ms) {
+  Lease lease;
   lease.fd = ConnectTimed(host, port, connect_timeout_ms, &lease.timed_out);
   if (lease.fd >= 0)
     if (auto* c = connects_.load(std::memory_order_acquire)) c->Add();

@@ -32,12 +32,15 @@ class ConnPool {
   ConnPool(const ConnPool&) = delete;
   ConnPool& operator=(const ConnPool&) = delete;
 
-  /// Pop an idle connection to host:port or open a new one (non-blocking
-  /// connect bounded by `connect_timeout_ms`, -1 = no bound; a handshake
-  /// whose SYN went unanswered is restarted on a fresh socket rather than
-  /// left to the kernel's 1 s retransmission). fd < 0 on failure. The fd is
-  /// non-blocking with TCP_NODELAY set.
+  /// Pop an idle connection to host:port, or Connect when none is idle.
   Lease Acquire(const std::string& host, int port, int connect_timeout_ms);
+
+  /// Open a new connection to host:port, bypassing the idle stash
+  /// (non-blocking connect bounded by `connect_timeout_ms`, -1 = no bound; a
+  /// handshake whose SYN went unanswered is restarted on a fresh socket
+  /// rather than left to the kernel's 1 s retransmission). fd < 0 on
+  /// failure. The fd is non-blocking with TCP_NODELAY set.
+  Lease Connect(const std::string& host, int port, int connect_timeout_ms);
 
   /// Return a healthy connection for reuse (closed if the stash is full, or
   /// if CloseAll has already run — a Release racing transport teardown must

@@ -163,7 +163,11 @@ Result<Message> TcpTransport::CallImpl(NodeId from, NodeId to,
   }
   for (int attempt = 0; attempt < 2; ++attempt) {
     int timeout_ms = TimeoutMs(deadline);
-    ConnPool::Lease lease = pool_.Acquire(addr.host, addr.port, timeout_ms);
+    // The stale retry connects afresh: once the peer has re-registered,
+    // every connection stashed for it is as dead as the one that failed.
+    ConnPool::Lease lease =
+        attempt == 0 ? pool_.Acquire(addr.host, addr.port, timeout_ms)
+                     : pool_.Connect(addr.host, addr.port, timeout_ms);
     if (lease.fd < 0) {
       if (lease.timed_out || deadline.expired()) return DeadlineError(to);
       return Unavailable("connect to node " + std::to_string(to) + " failed");
@@ -225,7 +229,9 @@ std::vector<Result<Message>> TcpTransport::CallBatch(
     results.assign(requests.size(),
                    Result<Message>(Unavailable("batch not attempted")));
     int timeout_ms = TimeoutMs(deadline);
-    ConnPool::Lease lease = pool_.Acquire(addr.host, addr.port, timeout_ms);
+    ConnPool::Lease lease =
+        attempt == 0 ? pool_.Acquire(addr.host, addr.port, timeout_ms)
+                     : pool_.Connect(addr.host, addr.port, timeout_ms);
     if (lease.fd < 0) {
       Status s = (lease.timed_out || deadline.expired())
                      ? DeadlineError(to)

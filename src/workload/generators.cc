@@ -6,7 +6,7 @@
 namespace eclipse::workload {
 namespace {
 
-std::string WordFor(std::size_t rank) { return "w" + std::to_string(rank); }
+std::string WordFor(std::size_t rank) { return 'w' + std::to_string(rank); }
 
 }  // namespace
 
@@ -117,7 +117,7 @@ std::string GenerateGraph(Rng& rng, const GraphOptions& options) {
   }
   std::string out;
   for (std::size_t i = 0; i < n; ++i) {
-    out += "n" + std::to_string(i);
+    out += 'n' + std::to_string(i);
     for (auto t : adj[i]) out += " n" + std::to_string(t);
     out.push_back('\n');
   }

@@ -199,7 +199,7 @@ TEST(ArenaTest, ResetReuse) {
     std::vector<std::string_view> views;
     std::vector<std::string> originals;
     for (int i = 0; i < 300; ++i) {
-      originals.push_back("c" + std::to_string(cycle) + "-v" + std::to_string(i));
+      originals.push_back('c' + std::to_string(cycle) + "-v" + std::to_string(i));
       views.push_back(arena.CopyString(originals.back()));
     }
     for (std::size_t i = 0; i < views.size(); ++i) {

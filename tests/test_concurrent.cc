@@ -79,10 +79,10 @@ TEST(Concurrent, RepeatedParallelRoundsAreDeterministicPerJob) {
   std::vector<KV> reference;
   for (int round = 0; round < 3; ++round) {
     auto a = std::async(std::launch::async, [&, round] {
-      return cluster.Run(apps::WordCountJob("a" + std::to_string(round), "t"));
+      return cluster.Run(apps::WordCountJob('a' + std::to_string(round), "t"));
     });
     auto b = std::async(std::launch::async, [&, round] {
-      return cluster.Run(apps::WordCountJob("b" + std::to_string(round), "t"));
+      return cluster.Run(apps::WordCountJob('b' + std::to_string(round), "t"));
     });
     JobResult ra = a.get(), rb = b.get();
     ASSERT_TRUE(ra.status.ok());
@@ -104,7 +104,7 @@ TEST(Concurrent, ParallelUploadsAndReads) {
   for (int i = 0; i < kFiles; ++i) {
     Rng rng(static_cast<std::uint64_t>(i) + 100);
     std::string content;
-    for (int l = 0; l < 50; ++l) content += "f" + std::to_string(i) + "-" + std::to_string(rng.Next()) + "\n";
+    for (int l = 0; l < 50; ++l) content += 'f' + std::to_string(i) + "-" + std::to_string(rng.Next()) + "\n";
     contents[static_cast<std::size_t>(i)] = content;
     writers.emplace_back([&cluster, i, content] {
       EXPECT_TRUE(cluster.dfs().Upload("file-" + std::to_string(i), content).ok());

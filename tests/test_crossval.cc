@@ -84,7 +84,7 @@ TEST(CrossValidation, ZeroCacheAgreesAtZero) {
   sim::EclipseSim sim(cfg, mr::SchedulerKind::kLaf);
   sim::SimJobSpec job;
   job.app = sim::GrepProfile();
-  job.dataset = "d";
+  job.dataset = 'd';
   job.num_blocks = 20;
   sim.RunJob(job);
   EXPECT_EQ(sim.RunJob(job).cache_hits, 0u);

@@ -213,9 +213,11 @@ TEST(Deploy, HandshakeHeartbeatRingPushAndShutdown) {
   EXPECT_EQ(coordinator.WaitForWorkerAtLeast(0, 2000), 0);
   EXPECT_EQ(coordinator.ActiveWorkers(), std::vector<int>{0});
 
-  // Heartbeats flow without a Cluster in the picture.
+  // Heartbeats flow without a Cluster in the picture. The worker counts a
+  // heartbeat only once the reply is back, just after the coordinator
+  // counted it, so wait for both sides.
   const auto deadline = std::chrono::steady_clock::now() + 3s;
-  while (coordinator.HeartbeatCount() == 0 &&
+  while ((coordinator.HeartbeatCount() == 0 || worker.heartbeats_sent() == 0) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(5ms);
   }

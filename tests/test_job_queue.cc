@@ -330,7 +330,7 @@ TEST(JobQueue, DestructionWithInFlightJobs) {
     mr::Cluster cluster(opts);
     ASSERT_TRUE(cluster.dfs().Upload("corpus", MakeText(71)).ok());
     for (int i = 0; i < 6; ++i) {
-      handles.push_back(cluster.Submit(apps::WordCountJob("j" + std::to_string(i), "corpus")));
+      handles.push_back(cluster.Submit(apps::WordCountJob('j' + std::to_string(i), "corpus")));
     }
     // Cluster (and its JobQueue) destroyed here with most jobs pending.
   }

@@ -105,7 +105,7 @@ TEST(MrEngine, SortProducesGlobalOrder) {
   Rng rng(3);
   std::string text;
   for (int i = 0; i < 200; ++i) {
-    text += "k" + std::to_string(rng.Below(500)) + " payload" + std::to_string(i) + "\n";
+    text += 'k' + std::to_string(rng.Below(500)) + " payload" + std::to_string(i) + "\n";
   }
   ASSERT_TRUE(cluster.dfs().Upload("records", text).ok());
 

@@ -675,6 +675,10 @@ TEST(RaceStress, DispatcherAcceptVsShutdown) {
       // closed an instant ago, so rebinding exercises the reuse path too.
       int rebound = server.RegisterAt(0, handler, port);
       ASSERT_EQ(rebound, port);
+      // Each registration stays up for a fixed dwell, so calls reach the
+      // endpoint by design rather than only when a SYN lands in the
+      // instant between re-register and the next detach.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     stop.store(true);
   });

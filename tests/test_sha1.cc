@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace eclipse {
 namespace {
 
@@ -69,6 +74,82 @@ TEST(Sha1, BoundaryLengths) {
     for (char c : msg) b.Update(&c, 1);
     EXPECT_EQ(a.Finish(), b.Finish()) << "len=" << len;
   }
+}
+
+// The block compressors, driven directly: known answers on blocks padded
+// here rather than by Sha1::Finish, and the hardware path against the
+// portable reference on random states and blocks.
+using Words = std::array<std::uint32_t, 5>;
+using Compressor = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+
+constexpr Words kInitialState = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u,
+                                 0xC3D2E1F0u};
+
+// FIPS 180-4 §5.1.1: 0x80, zeros up to 56 mod 64, then the bit length as a
+// 64-bit big-endian number.
+std::vector<std::uint8_t> PadByHand(std::string_view msg) {
+  std::vector<std::uint8_t> out(msg.begin(), msg.end());
+  out.push_back(0x80);
+  while (out.size() % 64 != 56) out.push_back(0);
+  const std::uint64_t bits = std::uint64_t{msg.size()} * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  return out;
+}
+
+void ExpectKnownAnswers(Compressor compress) {
+  struct Vector {
+    std::string_view msg;
+    std::size_t blocks;
+    Words digest;
+  };
+  const Vector vectors[] = {
+      {"abc", 1, {0xa9993e36u, 0x4706816au, 0xba3e2571u, 0x7850c26cu, 0x9cd0d89du}},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq", 2,
+       {0x84983e44u, 0x1c3bd26eu, 0xbaae4aa1u, 0xf95129e5u, 0xe54670f1u}},
+  };
+  for (const Vector& v : vectors) {
+    std::vector<std::uint8_t> padded = PadByHand(v.msg);
+    ASSERT_EQ(padded.size(), 64 * v.blocks) << v.msg;
+    Words state = kInitialState;
+    compress(state.data(), padded.data(), v.blocks);
+    EXPECT_EQ(state, v.digest) << v.msg;
+  }
+}
+
+TEST(Sha1Compress, PortableKnownAnswers) {
+  ExpectKnownAnswers(sha1_internal::CompressPortable);
+}
+
+TEST(Sha1Compress, ShaNiKnownAnswers) {
+#if defined(__x86_64__)
+  if (!sha1_internal::HaveShaNi()) GTEST_SKIP() << "this CPU has no SHA extensions";
+  ExpectKnownAnswers(sha1_internal::CompressShaNi);
+#else
+  GTEST_SKIP() << "the SHA-NI compressor is x86-64 only";
+#endif
+}
+
+TEST(Sha1Compress, ShaNiMatchesPortable) {
+#if defined(__x86_64__)
+  if (!sha1_internal::HaveShaNi()) GTEST_SKIP() << "this CPU has no SHA extensions";
+  Rng rng(1);
+  std::vector<std::uint8_t> data(4 * 64);
+  for (int i = 0; i < 10000; ++i) {
+    Words state{};
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng.Next());
+    const std::size_t blocks = 1 + rng.Below(4);
+    for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.Next());
+    Words portable = state;
+    Words hardware = state;
+    sha1_internal::CompressPortable(portable.data(), data.data(), blocks);
+    sha1_internal::CompressShaNi(hardware.data(), data.data(), blocks);
+    ASSERT_EQ(hardware, portable) << "input " << i << ", " << blocks << " blocks";
+  }
+#else
+  GTEST_SKIP() << "the SHA-NI compressor is x86-64 only";
+#endif
 }
 
 }  // namespace

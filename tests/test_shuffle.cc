@@ -88,7 +88,7 @@ TEST(ForEachGroupTest, MatchesMapGroupingIncludingValueOrder) {
     std::size_t n = rng.Below(200);
     for (std::size_t i = 0; i < n; ++i) {
       // Few distinct keys → long runs; values unique so order is observable.
-      KV kv{"k" + std::to_string(rng.Below(9)), "v" + std::to_string(i)};
+      KV kv{'k' + std::to_string(rng.Below(9)), 'v' + std::to_string(i)};
       expect[kv.key].push_back(kv.value);
       pairs.push_back(std::move(kv));
     }

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 
 #include "common/serde.h"
@@ -167,6 +168,50 @@ TEST(ConnPool, ResendsASynTheListenerDropped) {
   pool.Discard(lease.fd);
   ::close(filler);
   ::close(listener);
+}
+
+// Leaves `client` two idle pooled connections to node 0 on `server`, then
+// detaches and re-registers node 0 on the same port, which severs both.
+void ParkTwoStaleConnections(TcpTransport& server, TcpTransport& client) {
+  std::latch both_in(2);
+  const int port = server.RegisterAt(
+      0,
+      [&both_in](NodeId, const Message& m) {
+        both_in.arrive_and_wait();  // two calls in flight: two connections
+        return Message{m.type, m.payload};
+      },
+      0);
+  ASSERT_GT(port, 0);
+  client.AddPeer(0, "127.0.0.1", port);
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 2; ++i) {
+    callers.emplace_back(
+        [&client] { EXPECT_TRUE(client.Call(1, 0, Message{1, "park"}).ok()); });
+  }
+  for (auto& t : callers) t.join();
+  server.Register(0, nullptr);
+  ASSERT_EQ(server.RegisterAt(0, Echo, port), port);
+}
+
+TEST(TcpTransport, StaleRetryConnectsAfresh) {
+  // The one stale retry must open a new connection: popping the next idle
+  // one would find it just as dead.
+  TcpTransport server;
+  TcpTransport client;
+  ASSERT_NO_FATAL_FAILURE(ParkTwoStaleConnections(server, client));
+  auto resp = client.Call(1, 0, Message{1, "after"});
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp.value().payload, "from=1:after");
+}
+
+TEST(TcpTransport, StaleBatchRetryConnectsAfresh) {
+  TcpTransport server;
+  TcpTransport client;
+  ASSERT_NO_FATAL_FAILURE(ParkTwoStaleConnections(server, client));
+  auto results = client.CallBatch(1, 0, {Message{1, "a"}, Message{1, "b"}});
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(results[1].value().payload, "from=1:b");
 }
 
 TEST(TcpTransport, ConcurrentClients) {

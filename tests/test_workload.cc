@@ -89,7 +89,7 @@ TEST(GraphGen, OneLinePerNodeNoSelfLoops) {
   for (std::size_t i = 0; i < lines.size(); ++i) {
     auto fields = apps::SplitWords(lines[i]);
     ASSERT_FALSE(fields.empty());
-    EXPECT_EQ(fields[0], "n" + std::to_string(i));
+    EXPECT_EQ(fields[0], 'n' + std::to_string(i));
     std::set<std::string> targets(fields.begin() + 1, fields.end());
     EXPECT_EQ(targets.size(), fields.size() - 1) << "duplicate out-edges";
     EXPECT_EQ(targets.count(fields[0]), 0u) << "self loop";
