@@ -18,7 +18,6 @@ namespace msg {
 inline constexpr std::uint32_t kFetch = 300;      // id + expected kind -> data or NotFound
 inline constexpr std::uint32_t kCollect = 301;    // KeyRange -> extracted entries
 inline constexpr std::uint32_t kPut = 302;        // insert (or placeholder) -> accepted flag
-inline constexpr std::uint32_t kErase = 303;      // id -> ok
 inline constexpr std::uint32_t kStats = 304;      // -> per-kind stats + used/capacity/count
 inline constexpr std::uint32_t kResetStats = 305; // -> ok
 inline constexpr std::uint32_t kOk = 399;
@@ -76,9 +75,6 @@ class CacheClient {
              std::string_view data, EntryKind kind);
   bool PutPlaceholderTo(int server, const std::string& id, HashKey key,
                         Bytes size, EntryKind kind);
-
-  /// Remove one entry from `server`'s cache (best-effort).
-  void EraseAt(int server, const std::string& id);
 
   /// Point-in-time remote cache introspection (stats aggregation and the
   /// Prometheus per-server gauges).

@@ -287,21 +287,54 @@ Status DfsClient::PutObject(const std::string& id, HashKey key, const std::strin
 }
 
 Result<std::string> DfsClient::GetObject(const std::string& id, HashKey key) {
+  return std::move(GetObjects({id}, key).front());
+}
+
+std::vector<Result<std::string>> DfsClient::GetObjects(const std::vector<std::string>& ids,
+                                                       HashKey key) {
   RingSnapshot ring_snap = ring_();
   static const dht::Ring kNoRing;
   const dht::Ring& ring = ring_snap ? *ring_snap : kNoRing;
-  BinaryWriter w;
-  w.PutString(id);
-  net::Message get{msg::kGetBlock, w.Take()};
-  Status last = Status::Error(ErrorCode::kNotFound, "no object " + id);
-  for (int server : ring.Replicas(key, options_.replication)) {
-    auto resp = CallOk(server, get);
-    if (resp.ok()) return std::move(resp.value().payload);
-    last = resp.status();
-    if (last.code() == ErrorCode::kExpired) return last;
-    if (last.code() == ErrorCode::kDeadlineExceeded) return last;
+  std::vector<Result<std::string>> out;
+  out.reserve(ids.size());
+  std::vector<std::size_t> pending;  // indices into ids still to ask for
+  pending.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    out.emplace_back(Status::Error(ErrorCode::kNotFound, "no object " + ids[i]));
+    pending.push_back(i);
   }
-  return last;
+  for (int server : ring.Replicas(key, options_.replication)) {
+    if (pending.empty()) break;
+    BinaryWriter w;
+    w.PutU32(static_cast<std::uint32_t>(pending.size()));
+    for (std::size_t i : pending) w.PutString(ids[i]);
+    auto resp = CallOk(server, net::Message{msg::kGetObjects, w.Take()});
+    if (!resp.ok()) {
+      for (std::size_t i : pending) out[i] = resp.status();
+      const ErrorCode code = resp.status().code();
+      if (code == ErrorCode::kExpired || code == ErrorCode::kDeadlineExceeded) break;
+      continue;
+    }
+    BinaryReader r(resp.value().payload);
+    std::uint32_t n;
+    const bool counted = r.GetU32(&n) && n == pending.size();
+    std::size_t still = 0;  // pending is compacted in place
+    for (std::size_t i : pending) {
+      std::uint32_t code;
+      std::string bytes;
+      if (!counted || !r.GetU32(&code) || !r.GetString(&bytes)) {
+        out[i] = Status::Error(ErrorCode::kCorruption, "bad GetObjects response");
+        pending[still++] = i;
+      } else if (static_cast<ErrorCode>(code) == ErrorCode::kOk) {
+        out[i] = std::move(bytes);
+      } else {
+        out[i] = Status::Error(static_cast<ErrorCode>(code), std::move(bytes));
+        if (static_cast<ErrorCode>(code) != ErrorCode::kExpired) pending[still++] = i;
+      }
+    }
+    pending.resize(still);
+  }
+  return out;
 }
 
 void DfsClient::DeleteObject(const std::string& id, HashKey key, std::size_t replication) {

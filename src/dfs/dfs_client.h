@@ -91,7 +91,16 @@ class DfsClient {
                    std::size_t replication = 1);
 
   /// Fetch an object stored with PutObject (or fail NotFound / Expired).
+  /// The one-id case of GetObjects.
   Result<std::string> GetObject(const std::string& id, HashKey key);
+
+  /// Fetch several objects stored under one hash key, one result per id in
+  /// request order. The key's first replica is asked for every id in one
+  /// call; each later replica only for the ids still missing. An id that
+  /// comes back kExpired is not asked again, and a kExpired or
+  /// kDeadlineExceeded call failure stops the walk.
+  std::vector<Result<std::string>> GetObjects(const std::vector<std::string>& ids,
+                                              HashKey key);
 
   /// Delete an object on every replica candidate.
   void DeleteObject(const std::string& id, HashKey key, std::size_t replication = 1);

@@ -96,6 +96,38 @@ net::Message DfsNode::HandleRoutedGet(const net::Message& m) {
   return Ok(w.Take());
 }
 
+net::Message DfsNode::HandleGetObjects(int from, const net::Message& m) {
+  BinaryReader r(m.payload);
+  std::uint32_t n;
+  // Every id carries at least its 4-byte length prefix, so a count the
+  // payload cannot hold is rejected before anything is allocated.
+  if (!r.GetU32(&n) || n > r.remaining() / 4) {
+    return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad GetObjects request");
+  }
+  std::vector<std::string> ids(n);
+  for (std::string& id : ids) {
+    if (!r.GetString(&id)) {
+      return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad GetObjects request");
+    }
+  }
+  BinaryWriter w;
+  w.PutU32(n);
+  for (const std::string& id : ids) {
+    auto data = blocks_.Get(id);
+    if (!data.ok()) {
+      w.PutU32(static_cast<std::uint32_t>(data.status().code()));
+      w.PutString(data.status().message());
+      continue;
+    }
+    obs::Tracer::Global().Emit('i', "dfs", "block_serve", self_,
+                               {obs::U64("bytes", data.value().size()),
+                                obs::U64("to", static_cast<std::uint64_t>(from))});
+    w.PutU32(static_cast<std::uint32_t>(ErrorCode::kOk));
+    w.PutString(data.value());
+  }
+  return Ok(w.Take());
+}
+
 Result<RoutedGetResult> RoutedGet(net::Transport& transport, int caller, int entry_node,
                                   const std::string& id, HashKey key,
                                   std::uint32_t max_hops) {
@@ -230,6 +262,9 @@ net::Message DfsNode::Handle(int from, const net::Message& m) {
 
     case msg::kRoutedGet:
       return HandleRoutedGet(m);
+
+    case msg::kGetObjects:
+      return HandleGetObjects(from, m);
 
     case msg::kDeleteBlock: {
       BinaryReader r(m.payload);

@@ -29,6 +29,10 @@ inline constexpr std::uint32_t kListBlocks = 206;
 inline constexpr std::uint32_t kListMetadata = 207;
 inline constexpr std::uint32_t kGetBlockRange = 208;
 inline constexpr std::uint32_t kRoutedGet = 209;
+/// Batched object read: u32 n, then n ids. The response holds n entries in
+/// request order, each a u32 ErrorCode and a string: the object's bytes on
+/// kOk, else the error message.
+inline constexpr std::uint32_t kGetObjects = 210;
 inline constexpr std::uint32_t kOk = 299;
 }  // namespace msg
 
@@ -73,6 +77,7 @@ class DfsNode {
  private:
   net::Message Handle(int from, const net::Message& m);
   net::Message HandleRoutedGet(const net::Message& m);
+  net::Message HandleGetObjects(int from, const net::Message& m);
 
   const int self_;
   BlockStore blocks_;

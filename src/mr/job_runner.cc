@@ -21,6 +21,10 @@ namespace {
 
 constexpr int kMaxAttemptsPerTask = 5;
 
+/// A reduce gathers its spills in DHT-FS calls of at most this many encoded
+/// bytes each, far below the wire's 1 GiB frame limit.
+constexpr Bytes kGatherBatchBytes = 64_MiB;
+
 net::Deadline TaskDeadline(const JobSpec& spec) {
   return spec.task_deadline.count() > 0
              ? net::Deadline::After(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -32,6 +36,19 @@ std::uint64_t ElapsedUs(std::chrono::steady_clock::time_point since,
                         std::chrono::steady_clock::time_point now) {
   auto us = std::chrono::duration_cast<std::chrono::microseconds>(now - since).count();
   return us < 0 ? 0 : static_cast<std::uint64_t>(us);
+}
+
+/// The first live server in `key`'s replica order (owner, successor,
+/// predecessor, ...), or -1 when none is left. A killed server is marked dead
+/// before it leaves the ring, so for a moment the ring still names it as an
+/// owner; a task placed there fails at once, and each relaunch would land on
+/// it again until the task's attempt budget is gone.
+int LiveOwner(Cluster& cluster, HashKey key) {
+  const std::shared_ptr<const dht::Ring> ring = cluster.ring_snapshot();
+  for (int server : ring->Replicas(key, ring->size())) {
+    if (!cluster.worker(server).dead()) return server;
+  }
+  return -1;
 }
 
 /// MapContext bound to a ShuffleWriter (which copies the bytes into its
@@ -239,18 +256,12 @@ void JobRunner::CleanupCancelledSpills() {
     spills_.clear();
     orphan_spills_.clear();
   }
+  // Reduces never put untagged spills in the oCache, so only the DHT FS
+  // holds them.
   std::set<std::string> deleted;  // ledger ids may repeat across attempts
-  const std::vector<int> worker_ids = cluster_.WorkerIds();
   for (const auto& info : doomed) {
     if (!deleted.insert(info.id).second) continue;
     cluster_.dfs().DeleteObject(info.id, info.range_begin);  // best-effort
-    // Reducers that ran before the cancellation cached the spill in oCache;
-    // the id is private to this job, so the entry can never hit again —
-    // evict it rather than let it squat on cache budget.
-    for (int id : worker_ids) {
-      WorkerServer& w = cluster_.worker(id);
-      if (!w.dead()) w.CacheErase(info.id);
-    }
   }
   if (!deleted.empty()) {
     obs::Tracer::Global().Emit('i', "mr", "cancel_cleanup", obs::kDriverPid,
@@ -537,7 +548,7 @@ Status JobRunner::RunReducePhase(std::vector<KV>* output) {
 
   AttemptSet<ReduceOutcome> set(
       *this, {sched::SlotKind::kReduce, sched::PredictPhase::kReduce, "reduce"},
-      [this, &plan](std::size_t i) { return cluster_.ring().Owner(plan[i][0].range_begin); },
+      [this, &plan](std::size_t i) { return LiveOwner(cluster_, plan[i][0].range_begin); },
       [this, &plan](WorkerServer& w, std::size_t i, const std::atomic<bool>& cancel) {
         return RunReduceTask(w, plan[i], cancel);
       });
@@ -701,8 +712,7 @@ int JobRunner::PickMapServer(HashKey hkey) {
     }
   }
   // Scheduler pointed at a dead server: fall back to the live ring owner.
-  int owner = cluster_.ring().Owner(hkey);
-  return owner;
+  return LiveOwner(cluster_, hkey);
 }
 
 int JobRunner::PickBackupServer(int avoid, sched::SlotKind kind) {
@@ -874,45 +884,73 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
         ElapsedUs(t0, std::chrono::steady_clock::now()));
   }};
 
-  // Flat zero-copy grouping: decode every spill into one view vector (the
-  // payloads stay pinned — cache handles for oCache hits, `payloads` for
-  // fresh fetches — so the views stay valid), index-sort once, then walk
-  // the key runs. The scratch is per executor thread: its vectors' capacity
-  // survives across tasks, so a steady-state reduce allocates nothing while
-  // decoding and grouping (asserted by test_alloc_gate).
+  // Tagged intermediates may sit in this worker's oCache from an earlier job
+  // (§II-C). An untagged spill id is private to this job and read once, so
+  // it never enters the cache.
+  const bool tagged = !spec_.intermediate_tag.empty();
+  std::vector<cache::CacheValue> payloads(spills.size());  // pins every decoded payload
+  std::vector<std::size_t> gather;  // spills to read from the DHT FS, in order
+  std::vector<Bytes> gather_bytes;  // their encoded sizes
+  gather.reserve(spills.size());
+  gather_bytes.reserve(spills.size());
+  for (std::size_t i = 0; i < spills.size(); ++i) {
+    if (tagged) {
+      if (Interrupted(w, cancel, "reduce", &out.status)) return out;
+      payloads[i] = w.CacheGet(spills[i].id, cache::EntryKind::kOutput);
+      if (payloads[i]) {
+        ++out.ocache_hits;
+        continue;
+      }
+      ++out.ocache_misses;
+    }
+    gather.push_back(i);
+    gather_bytes.push_back(EncodedSpillBytes(spills[i]));
+  }
+
+  // The range's spills all live at its owner (§II-D), so one DHT-FS call
+  // per batch fetches them; a spill no replica returns is lost.
+  std::vector<std::string> ids;
+  std::size_t begin = 0;
+  for (std::size_t end : BatchEnds(gather_bytes, kGatherBatchBytes)) {
+    if (Interrupted(w, cancel, "reduce", &out.status)) return out;
+    ids.clear();
+    for (std::size_t k = begin; k < end; ++k) ids.push_back(spills[gather[k]].id);
+    auto objs = w.dfs().GetObjects(ids, spills[gather[begin]].range_begin);
+    for (std::size_t k = begin; k < end; ++k) {
+      const SpillInfo& spill = spills[gather[k]];
+      auto& obj = objs[k - begin];
+      if (!obj.ok()) {
+        out.missing_spills.push_back(spill.id);
+        continue;
+      }
+      cache::CacheValue& data = payloads[gather[k]];
+      data = std::make_shared<const std::string>(std::move(obj.value()));
+      if (tagged) w.CachePut(spill.id, spill.range_begin, data, cache::EntryKind::kOutput);
+    }
+    begin = end;
+  }
+  if (!out.missing_spills.empty()) {
+    out.status = Status::Error(ErrorCode::kNotFound, "spills lost with their server");
+    return out;
+  }
+  if (Interrupted(w, cancel, "reduce", &out.status)) return out;
+
+  // Flat zero-copy grouping: decode every spill, in spill order, into one
+  // view vector (`payloads` pins the bytes, so the views stay valid),
+  // index-sort once, then walk the key runs. The scratch is per executor
+  // thread: its vectors' capacity survives across tasks, so a steady-state
+  // reduce allocates nothing while decoding and grouping (asserted by
+  // test_alloc_gate).
   static thread_local ReduceScratch scratch;
   scratch.Clear();
   std::uint64_t expected_pairs = 0;
   for (const auto& spill : spills) expected_pairs += spill.pairs;
   scratch.pairs.reserve(expected_pairs);
-  std::vector<cache::CacheValue> payloads;  // pins every decoded payload
-  payloads.reserve(spills.size());
-  for (const auto& spill : spills) {
-    if (Interrupted(w, cancel, "reduce", &out.status)) return out;
-    cache::CacheValue data = w.CacheGet(spill.id, cache::EntryKind::kOutput);
-    if (data) {
-      ++out.ocache_hits;
-    } else {
-      auto obj = w.dfs().GetObject(spill.id, spill.range_begin);
-      if (!obj.ok()) {
-        out.missing_spills.push_back(spill.id);
-        continue;
-      }
-      ++out.ocache_misses;
-      data = std::make_shared<const std::string>(std::move(obj.value()));
-      if (spec_.cache_intermediates) {
-        w.CachePut(spill.id, spill.range_begin, data, cache::EntryKind::kOutput);
-      }
-    }
+  for (const cache::CacheValue& data : payloads) {
     if (Status s = DecodeSpillViews(*data, &scratch.pairs); !s.ok()) {
       out.status = s;
       return out;
     }
-    payloads.push_back(std::move(data));
-  }
-  if (!out.missing_spills.empty()) {
-    out.status = Status::Error(ErrorCode::kNotFound, "spills lost with their server");
-    return out;
   }
 
   VectorReduceContext ctx;

@@ -35,6 +35,20 @@ void EncodeSpillTo(const std::vector<KVView>& pairs, BinaryWriter& w) {
   }
 }
 
+std::vector<std::size_t> BatchEnds(const std::vector<Bytes>& sizes, Bytes cap) {
+  std::vector<std::size_t> ends;
+  Bytes batch = 0;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    if (i > 0 && batch + sizes[i] > cap) {
+      ends.push_back(i);
+      batch = 0;
+    }
+    batch += sizes[i];
+  }
+  if (!sizes.empty()) ends.push_back(sizes.size());
+  return ends;
+}
+
 Status DecodeSpillViews(const std::string& data, std::vector<KVView>* out) {
   BinaryReader r(data);
   std::uint32_t n = 0;

@@ -52,6 +52,18 @@ struct SpillInfo {
   Bytes bytes;
 };
 
+/// Size of a spill's encoded payload: a u32 pair count, then a u32 length
+/// before every key and every value.
+inline Bytes EncodedSpillBytes(const SpillInfo& spill) {
+  return 4 + 8 * spill.pairs + spill.bytes;
+}
+
+/// Cut a run of objects with these encoded sizes, in order, into batches of
+/// at most `cap` bytes; returns each batch's end index. An object larger
+/// than `cap` gets a batch of its own, and no batch is empty. A reduce
+/// gathers each batch of its spills in one DHT-FS call.
+std::vector<std::size_t> BatchEnds(const std::vector<Bytes>& sizes, Bytes cap);
+
 /// Serialize / parse one spill's KV payload.
 std::string EncodeSpill(const std::vector<KV>& pairs);
 Result<std::vector<KV>> DecodeSpill(const std::string& data);

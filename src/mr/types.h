@@ -112,12 +112,10 @@ struct JobSpec {
   /// Cache input blocks in iCache on read (paper: implicit input caching).
   bool cache_input = true;
 
-  /// Cache intermediate spills in the reducer-side oCache on first read.
-  bool cache_intermediates = true;
-
   /// Non-empty: tag intermediate results for cross-job reuse (§II-B oCache).
   /// A later job with the same tag and input skips its map computation and
-  /// feeds reducers from the stored spills.
+  /// feeds reducers from the stored spills. Only tagged spills enter the
+  /// reducer-side oCache: an untagged spill is read once, by its own job.
   std::string intermediate_tag;
 
   /// TTL for persisted intermediate results (zero: keep until deleted).

@@ -55,14 +55,6 @@ bool WorkerServer::CachePut(const std::string& id, HashKey key,
   return cache_client_->PutTo(id_, id, key, std::string_view(*data), kind);
 }
 
-void WorkerServer::CacheErase(const std::string& id) {
-  if (cache_node_) {
-    cache_node_->local().Erase(id);
-    return;
-  }
-  cache_client_->EraseAt(id_, id);
-}
-
 std::size_t WorkerServer::CacheMigrateFrom(int neighbor, const KeyRange& range) {
   if (cache_node_) return cache_client_->MigrateRange(neighbor, range, cache_node_->local());
   return cache_client_->MigrateRemote(neighbor, range, id_);

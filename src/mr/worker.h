@@ -81,7 +81,6 @@ class WorkerServer {
   /// False if the entry was rejected (over capacity) or the peer unreachable.
   bool CachePut(const std::string& id, HashKey key, cache::CacheValue data,
                 cache::EntryKind kind);
-  void CacheErase(const std::string& id);
   /// §II-E migration pull: move `range` out of `neighbor`'s cache into this
   /// worker's. Remote mode streams the entries through the coordinator
   /// (collect from neighbor, pipelined puts to this worker's process).

@@ -1,9 +1,12 @@
 // DHT file system integration tests over an in-process transport.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <set>
+#include <thread>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "dfs/dfs_client.h"
 #include "dfs/recovery.h"
@@ -251,6 +254,112 @@ TEST_F(DfsTest, RecoveryReportsUnrecoverableBlocks) {
   EXPECT_EQ(report.blocks_lost, 0u)
       << "block no longer appears in any inventory, so it cannot be counted";
   EXPECT_EQ(client_->ReadBlock(meta, 0).status().code(), ErrorCode::kNotFound);
+}
+
+/// Four DFS nodes on a static ring; the transport counts every call.
+struct CountedServers {
+  CountedServers() {
+    transport.BindMetrics(metrics, "inproc");
+    for (int i = 0; i < 4; ++i) {
+      ring.AddServer(i);
+      dispatchers.push_back(std::make_unique<net::Dispatcher>());
+      nodes.push_back(std::make_unique<DfsNode>(i, *dispatchers.back()));
+      transport.Register(i, dispatchers.back()->AsHandler());
+    }
+    client = std::make_unique<DfsClient>(
+        1000, transport, [this] { return std::make_shared<const dht::Ring>(ring); });
+  }
+
+  std::uint64_t calls() {
+    return metrics.GetCounter("net.calls", {{"transport", "inproc"}}).value();
+  }
+  BlockStore& store(int server) { return nodes[static_cast<std::size_t>(server)]->blocks(); }
+
+  MetricsRegistry metrics;  // outlives the transport bound to it
+  net::InProcessTransport transport;
+  dht::Ring ring;
+  std::vector<std::unique_ptr<net::Dispatcher>> dispatchers;
+  std::vector<std::unique_ptr<DfsNode>> nodes;
+  std::unique_ptr<DfsClient> client;
+};
+
+TEST(DfsClient, GetObjectsAnswersInRequestOrderAndFallsBackPerObject) {
+  CountedServers s;
+  const HashKey key = KeyOf("range");
+  const std::vector<int> replicas = s.ring.Replicas(key, 3);
+  ASSERT_EQ(replicas.size(), 3u);
+  const int owner = replicas[0];
+  const int successor = replicas[1];
+  ASSERT_TRUE(s.client->PutObject("A", key, "a-bytes").ok());  // owner only
+  ASSERT_TRUE(s.client->PutObject("B", key, "b-bytes").ok());
+  ASSERT_TRUE(s.store(owner).Contains("A"));
+  s.store(successor).Put("C", key, "c-bytes");  // only a later replica holds C
+  s.store(owner).Put("E", key, "stale", std::chrono::milliseconds(1));
+  s.store(successor).Put("E", key, "e-copy");  // must not be asked for: E expired
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  const std::uint64_t before = s.calls();
+  auto got = s.client->GetObjects({"C", "A", "D", "E", "B"}, key);
+  // Owner: all five (A, B served; E expired). Successor: C, D (C served).
+  // Predecessor: D. One call per replica tried.
+  EXPECT_EQ(s.calls() - before, 3u);
+  ASSERT_EQ(got.size(), 5u);
+  ASSERT_TRUE(got[0].ok()) << got[0].status().ToString();
+  EXPECT_EQ(got[0].value(), "c-bytes");
+  ASSERT_TRUE(got[1].ok());
+  EXPECT_EQ(got[1].value(), "a-bytes");
+  EXPECT_EQ(got[2].status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(got[3].status().code(), ErrorCode::kExpired);
+  ASSERT_TRUE(got[4].ok());
+  EXPECT_EQ(got[4].value(), "b-bytes");
+
+  // Everything on the owner: one call, no fallback.
+  const std::uint64_t before_owner_only = s.calls();
+  auto both = s.client->GetObjects({"B", "A"}, key);
+  EXPECT_EQ(s.calls() - before_owner_only, 1u);
+  ASSERT_TRUE(both[0].ok() && both[1].ok());
+  EXPECT_EQ(both[0].value(), "b-bytes");
+  EXPECT_EQ(both[1].value(), "a-bytes");
+}
+
+TEST(DfsClient, GetObjectIsTheOneIdCase) {
+  CountedServers s;
+  const HashKey key = KeyOf("range");
+  const int successor = s.ring.Replicas(key, 3)[1];
+  s.store(successor).Put("C", key, "c-bytes");
+
+  const std::uint64_t before = s.calls();
+  auto got = s.client->GetObject("C", key);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value(), "c-bytes");
+  EXPECT_EQ(s.calls() - before, 2u);  // owner miss, successor hit
+  EXPECT_EQ(s.client->GetObject("D", key).status().code(), ErrorCode::kNotFound);
+}
+
+TEST(DfsClient, GetObjectsRejectsTruncatedRequests) {
+  CountedServers s;
+  BinaryWriter w;
+  w.PutU32(2);
+  w.PutString("A");
+  w.PutString("B");
+  std::string full = w.Take();
+  const std::vector<std::string> bad = {
+      full.substr(0, full.size() - 1),  // second id cut short
+      full.substr(0, 4 + 4 + 1),        // second id missing
+      full.substr(0, 3),                // count cut short
+  };
+  for (const std::string& payload : bad) {
+    auto resp = s.transport.Call(1000, 0, net::Message{msg::kGetObjects, payload});
+    ASSERT_TRUE(resp.ok());
+    ASSERT_TRUE(net::IsError(resp.value()));
+    EXPECT_EQ(net::DecodeError(resp.value()).code(), ErrorCode::kInvalidArgument);
+  }
+  BinaryWriter huge;
+  huge.PutU32(0xFFFFFFFF);  // a count the payload cannot hold
+  auto resp = s.transport.Call(1000, 0, net::Message{msg::kGetObjects, huge.Take()});
+  ASSERT_TRUE(resp.ok());
+  ASSERT_TRUE(net::IsError(resp.value()));
+  EXPECT_EQ(net::DecodeError(resp.value()).code(), ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

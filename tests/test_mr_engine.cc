@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 
 #include "apps/grep.h"
@@ -170,6 +171,10 @@ TEST(MrEngine, TaggedIntermediatesSkipMapsOnReuse) {
   for (std::size_t i = 0; i < r1.output.size(); ++i) {
     EXPECT_EQ(r1.output[i], r2.output[i]);
   }
+  // The first job's reduces put the tagged spills in their oCache; the
+  // second job's reduces read every spill from it.
+  EXPECT_EQ(r2.stats.ocache_misses, 0u);
+  EXPECT_GT(r2.stats.ocache_hits, 0u);
 }
 
 TEST(MrEngine, ExpiredIntermediatesAreRecomputed) {
@@ -207,6 +212,70 @@ TEST(MrEngine, ProactiveSpillsPlacedReducerSide) {
   EXPECT_GT(result.stats.spills, result.stats.reduce_tasks)
       << "threshold spilling should produce multiple spills per range";
   EXPECT_GT(result.stats.bytes_spilled, 0u);
+}
+
+TEST(MrEngine, ReduceGathersItsRangeInOneCall) {
+  // Fixed-width lines that tile the blocks: every map makes one call for
+  // its block and one boundary peek at the previous block, never a
+  // follow-on read, so the job's map-side calls can be counted exactly.
+  ClusterOptions opts = SmallCluster(4);
+  Cluster cluster(opts);
+  Rng rng(7);
+  std::string text;
+  for (int line = 0; line < 250; ++line) {
+    for (int word = 0; word < 4; ++word) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "w%02d", static_cast<int>(rng.Below(50)));
+      text += buf;
+      text.push_back(word == 3 ? '\n' : ' ');
+    }
+  }
+  ASSERT_EQ(text.size() % 16, 0u);
+  ASSERT_EQ(opts.block_size % 16, 0u);
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  const std::uint64_t blocks = cluster.dfs().GetMetadata("corpus").value().num_blocks;
+
+  Counter& calls = cluster.metrics().GetCounter("net.calls", {{"transport", "inproc"}});
+  const std::uint64_t before = calls.value();
+  JobSpec spec = apps::WordCountJob("wc-gather", "corpus");
+  spec.spill_threshold = 64;
+  JobResult result = cluster.Run(spec);
+  const std::uint64_t job_calls = calls.value() - before;
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_GT(result.stats.spills, 4 * result.stats.reduce_tasks);
+  ASSERT_EQ(result.stats.icache_misses, blocks);
+
+  // Metadata, block reads, boundary peeks, one push per spill.
+  const std::uint64_t map_side = 1 + blocks + (blocks - 1) + result.stats.spills;
+  ASSERT_GE(job_calls, map_side);
+  EXPECT_EQ(job_calls - map_side, result.stats.reduce_tasks)
+      << "the reduce side should make one call per reduce task, not one per spill ("
+      << result.stats.spills << " spills)";
+
+  auto expected = apps::WordCountSerial(text);
+  ASSERT_EQ(result.output.size(), expected.size());
+  for (const auto& kv : result.output) {
+    EXPECT_EQ(kv.value, std::to_string(expected.at(kv.key))) << kv.key;
+  }
+}
+
+TEST(MrEngine, UntaggedSpillsStayOutOfTheOCache) {
+  Cluster cluster(SmallCluster(4));
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", SampleText()).ok());
+  JobSpec spec = apps::WordCountJob("wc", "corpus");
+  spec.spill_threshold = 64;
+  JobResult result = cluster.Run(spec);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_GT(result.stats.spills, 0u);
+  EXPECT_EQ(result.stats.ocache_hits + result.stats.ocache_misses, 0u);
+
+  const std::string prefix = "im/j" + std::to_string(result.job_id) + "/";
+  for (int id : cluster.WorkerIds()) {
+    for (const auto& entry : cluster.worker(id).cache().Entries()) {
+      EXPECT_NE(entry.id.rfind(prefix, 0), 0u)
+          << "private spill " << entry.id << " cached on worker " << id;
+    }
+  }
 }
 
 TEST(MrEngine, MigrateMisplacedCacheMovesEntries) {

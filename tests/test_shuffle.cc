@@ -34,6 +34,49 @@ TEST(Manifest, RoundTrip) {
   EXPECT_EQ(back.value()[1].pairs, 9u);
 }
 
+TEST(Spill, EncodedBytesMatchesTheEncoding) {
+  std::vector<KV> pairs = {{"k1", "v1"}, {"key", ""}, {"", "value"}};
+  SpillInfo info{"id", 0, pairs.size(), 0};
+  for (const KV& kv : pairs) info.bytes += kv.key.size() + kv.value.size();
+  EXPECT_EQ(EncodedSpillBytes(info), EncodeSpill(pairs).size());
+}
+
+TEST(BatchEndsTest, SplitsUnderTheCap) {
+  // Spills of 4 + 8·pairs + bytes encoded bytes each, cut under a small cap.
+  std::vector<SpillInfo> spills = {
+      {"a", 0, 1, 28},   // 40
+      {"b", 0, 2, 20},   // 40
+      {"c", 0, 1, 8},    // 20
+      {"d", 0, 10, 36},  // 120: over the cap on its own
+      {"e", 0, 1, 48},   // 60
+      {"f", 0, 1, 88},   // 100: exactly the cap
+      {"g", 0, 0, 0},    // 4
+  };
+  std::vector<Bytes> sizes;
+  for (const SpillInfo& s : spills) sizes.push_back(EncodedSpillBytes(s));
+  ASSERT_EQ(sizes, (std::vector<Bytes>{40, 40, 20, 120, 60, 100, 4}));
+  const Bytes cap = 100;
+  const std::vector<std::size_t> ends = BatchEnds(sizes, cap);
+  EXPECT_EQ(ends, (std::vector<std::size_t>{3, 4, 5, 6, 7}));
+
+  std::size_t begin = 0;
+  for (std::size_t end : ends) {
+    ASSERT_LT(begin, end) << "empty batch";
+    Bytes total = 0;
+    for (std::size_t i = begin; i < end; ++i) total += sizes[i];
+    if (total > cap) {
+      EXPECT_EQ(end - begin, 1u) << "an oversized spill shares its batch";
+    }
+    begin = end;
+  }
+  EXPECT_EQ(begin, sizes.size());
+
+  EXPECT_TRUE(BatchEnds({}, cap).empty());
+  EXPECT_EQ(BatchEnds({500}, cap), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(BatchEnds({500, 500}, cap), (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(BatchEnds({10, 10, 10}, 1000), (std::vector<std::size_t>{3}));
+}
+
 TEST(SpillIdTest, DeterministicAndDistinct) {
   EXPECT_EQ(SpillId("p", 10, 0), SpillId("p", 10, 0));
   EXPECT_NE(SpillId("p", 10, 0), SpillId("p", 10, 1));
