@@ -78,8 +78,7 @@ enum class Rank : int {
   // -- 700: transports ------------------------------------------------------
   kTransport = 700,      // net/transport.h      InProcessTransport::mu_
   kTcpTransport = 710,   // net/tcp_transport.h  TcpTransport::mu_
-  kEpollServer = 712,    // net/epoll_server.h   EpollServer::mu_
-  kEpollPool = 714,      // net/epoll_server.h   EpollServer::pool_mu_
+  kFrameServer = 712,    // net/frame_server.h   FrameServer::mu_
   kConnPool = 716,       // net/conn_pool.h      ConnPool::mu_
   kDispatcher = 730,     // net/dispatcher.h     Dispatcher::mu_
 

@@ -43,7 +43,7 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
       auto tcp = std::make_unique<net::TcpTransport>();
       // Owned transport: the socket internals can live in the cluster
       // registry directly (metrics_ is declared before transport_, so it
-      // outlives the epoll/handler threads that bump these).
+      // outlives the server threads that bump these).
       tcp->BindTransportMetrics(metrics_, transport_label);
       transport_ = std::move(tcp);
     } else {
@@ -174,7 +174,7 @@ Cluster::~Cluster() {
   // dies or later calls (ShutdownAll, the next cluster's bootstrap) would
   // account into freed counters. AccountCall runs on the caller's thread
   // and every caller of the borrowed transport is joined or sequenced by
-  // now, so no concurrent account can race the unbind. (The epoll/pool
+  // now, so no concurrent account can race the unbind. (The server/pool
   // internals, which heartbeat traffic keeps touching, live in the
   // coordinator-owned net_metrics() registry and need no unbind.)
   if (options_.deployment) options_.deployment->transport().UnbindMetrics();

@@ -253,8 +253,8 @@ class Cluster {
   // scheduler decision, or recovery pass runs under any of them.
   ClusterOptions options_;
   // Declared before transport_ so it outlives it: an owned TcpTransport's
-  // epoll/handler threads account into counters here until the transport's
-  // own destructor joins them.
+  // acceptor and connection threads account into counters here until the
+  // transport's own destructor joins them.
   MetricsRegistry metrics_;
   // Owned transport (in-process mode, and the fault wrapper in every mode);
   // null when the deployment coordinator's transport is borrowed bare.

@@ -114,9 +114,10 @@ class DeploymentCoordinator {
   /// Socket-internals registry (net.accepted_connections,
   /// net.frames_dispatched, net.handler_threads, net.pool_*): the
   /// transport's counters are bound here — a registry with exactly the
-  /// transport's lifetime — instead of the Cluster's, so the epoll/handler
-  /// threads can keep accounting heartbeat traffic while Clusters come and
-  /// go. Cluster::MetricsPrometheus appends this render to its own.
+  /// transport's lifetime — instead of the Cluster's, so the server's
+  /// connection threads can keep accounting heartbeat traffic while
+  /// Clusters come and go. Cluster::MetricsPrometheus appends this render
+  /// to its own.
   MetricsRegistry& net_metrics() { return net_metrics_; }
 
  private:

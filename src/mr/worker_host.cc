@@ -32,8 +32,9 @@ WorkerHost::~WorkerHost() {
   }
   cv_.notify_all();
   if (heartbeat_.joinable()) heartbeat_.join();
-  // transport_ teardown drains every in-flight handler (EpollServer's
-  // RemoveEndpoint guarantee), so dfs_node_/cache_node_ outlive all use.
+  // transport_ teardown stops every endpoint and joins its connection
+  // threads (FrameServer::RemoveEndpoint returns only when no handler is
+  // running), so dfs_node_/cache_node_ outlive all use.
 }
 
 bool WorkerHost::Start() {
@@ -185,9 +186,10 @@ net::Message WorkerHost::HandleControl(int from, const net::Message& m) {
         shutdown_ = true;
       }
       cv_.notify_all();
-      // The kOk response is written before teardown: Serve() removes the
-      // endpoint only after this handler returns and the transport's drain
-      // waits for the in-flight count to reach zero.
+      // The kOk response is written before teardown: this connection's
+      // thread writes it as soon as the handler returns, and the endpoint
+      // stops only when the transport is destroyed after Serve() returns,
+      // which joins that thread.
       return deploy::EncodeOk();
     }
 

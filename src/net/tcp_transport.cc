@@ -77,11 +77,11 @@ TcpTransport::TcpTransport() : TcpTransport(Options{}) {}
 
 TcpTransport::TcpTransport(Options opts)
     : opts_(std::move(opts)),
-      server_(EpollServer::Options{opts_.listen_host, opts_.max_handler_threads}),
+      server_(opts_.listen_host),
       pool_(opts_.max_idle_conns_per_peer) {}
 
 // Members tear down in reverse order: the pool closes client fds first,
-// then the server drains endpoints and in-flight handlers.
+// then the server stops every endpoint and joins its threads.
 TcpTransport::~TcpTransport() = default;
 
 void TcpTransport::Register(NodeId node, Handler handler) {

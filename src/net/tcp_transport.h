@@ -2,20 +2,24 @@
 // for multi-process clusters (docs/deployment.md) and the loopback realism
 // layer for tests.
 //
-// Every registered node gets a listening socket served by one shared
-// epoll-based dispatcher (net/epoll_server.h); calls go out over pooled,
-// persistent connections (net/conn_pool.h) speaking a length-prefixed binary
-// frame protocol:
+// Every registered node gets a listening socket with its own acceptor
+// thread, and every accepted connection gets a thread that reads each frame,
+// runs the handler and writes the response itself (net/frame_server.h);
+// calls go out over pooled, persistent connections (net/conn_pool.h)
+// speaking a length-prefixed binary frame protocol:
 //
 //   request:   u32 body_len | u32 type | i32 from | payload bytes
 //   response:  u32 body_len | u32 type | payload bytes
 //
-// A connection carries many frames over its lifetime; responses come back in
-// request order, which is what lets CallBatch pipeline a burst of requests
-// over one connection instead of paying a round trip each. Frame encode is
-// zero-copy: headers live on the stack and payloads are scatter-gathered
-// straight from their strings with writev (the PR 7 zero-alloc treatment
-// extended to the wire, as docs/performance.md promised).
+// A connection carries many frames over its lifetime and its thread serves
+// them one at a time, so responses come back in request order: that is what
+// lets CallBatch pipeline a burst of requests over one connection instead of
+// paying a round trip each. A handler's nested call back into this process
+// rides its own connection, and so its own thread; it cannot deadlock.
+// Frame encode is zero-copy: headers live on the stack and payloads are
+// scatter-gathered straight from their strings with writev (the zero-alloc
+// treatment of the record path, extended to the wire; see
+// docs/performance.md).
 //
 // Remote processes are reached via the peer table (AddPeer/RemovePeer),
 // which the deployment bootstrap (net/bootstrap.h) populates from the
@@ -30,7 +34,7 @@
 
 #include "common/mutex.h"
 #include "net/conn_pool.h"
-#include "net/epoll_server.h"
+#include "net/frame_server.h"
 #include "net/transport.h"
 
 namespace eclipse::net {
@@ -41,8 +45,6 @@ class TcpTransport : public Transport {
     /// Address endpoints listen on. Loopback by default; workers that must
     /// be reachable from other machines bind 0.0.0.0.
     std::string listen_host = "127.0.0.1";
-    /// Upper bound on dispatcher handler threads (see epoll_server.h).
-    int max_handler_threads = 192;
     /// Idle pooled connections kept per destination.
     int max_idle_conns_per_peer = 8;
   };
@@ -55,7 +57,7 @@ class TcpTransport : public Transport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   /// Register `node` on an OS-assigned loopback port. Passing nullptr
-  /// detaches the node: its listener closes, in-flight handlers drain, and
+  /// detaches the node: its listener closes, in-flight handlers finish, and
   /// any peer-table route for it is dropped (a detached node is unreachable
   /// whether it was a thread or a process).
   void Register(NodeId node, Handler handler) override;
@@ -81,20 +83,16 @@ class TcpTransport : public Transport {
   /// Port `node` listens on locally, or its peer-route port (0 if unknown).
   int PortOf(NodeId node) const;
 
-  /// Bind the dispatcher/pool counters (net.accepted_connections,
+  /// Bind the server/pool counters (net.accepted_connections,
   /// net.frames_dispatched, net.handler_threads, net.pool_*) in addition to
   /// the base per-call series bound by Transport::BindMetrics. Split out so
   /// a fault-injection wrapper can own the per-call series while the raw
   /// transport still exports its internals.
   void BindTransportMetrics(MetricsRegistry& registry, const char* label);
-  /// Drop the base + dispatcher/pool counter pointers; required when this
+  /// Drop the base + server/pool counter pointers; required when this
   /// transport outlives the registry (the borrowed-transport deployment
   /// case — see Transport::UnbindMetrics).
   void UnbindTransportMetrics();
-
-  /// The shared dispatcher (exposed for the deployment bootstrap, which
-  /// registers its control endpoint directly).
-  EpollServer& server() { return server_; }
 
  private:
   struct Addr {
@@ -114,7 +112,7 @@ class TcpTransport : public Transport {
                  std::vector<Result<Message>>* results, bool* any_bytes);
 
   const Options opts_;
-  EpollServer server_;
+  FrameServer server_;
   ConnPool pool_;
 
   mutable Mutex mu_{Rank::kTcpTransport, "TcpTransport::mu_"};

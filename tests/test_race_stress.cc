@@ -650,7 +650,7 @@ TEST(RaceStress, ConnPoolReleaseVsCloseAll) {
 }
 
 TEST(RaceStress, DispatcherAcceptVsShutdown) {
-  // The epoll dispatcher's accept path races endpoint teardown: clients keep
+  // The frame server's accept path races endpoint teardown: clients keep
   // connecting and calling over real TCP while the endpoint is repeatedly
   // detached (which drains in-flight handlers and closes the listener) and
   // re-registered on the same port. Every call must complete or fail cleanly
