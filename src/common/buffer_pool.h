@@ -64,7 +64,7 @@ class BufferPool {
   }
 
  private:
-  // 64 buffers comfortably covers every executor thread holding one plus a
+  // 64 buffers comfortably covers every slot thread holding one plus a
   // burst of transient writers; 64 MiB each bounds worst-case residency at
   // the spill-threshold scale real jobs use.
   static constexpr std::size_t kMaxPooled = 64;

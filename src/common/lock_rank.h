@@ -23,7 +23,7 @@
 //   600  storage            (DFS metadata/routing, block store, cache)
 //   700  transports         (in-process map, TCP endpoints, dispatcher)
 //   800  fault injection    (fault controller, straggler detector)
-//   900  common infra       (metrics, tracing, wakeups) — leaf-most,
+//   900  common infra       (metrics, tracing, buffer pool) — leaf-most,
 //        safe to take under anything because these are touched from
 //        arbitrary call sites (a counter bump, a first-event trace
 //        registration) that may already hold module locks.
@@ -64,8 +64,6 @@ enum class Rank : int {
   kLafScheduler = 500,    // sched/laf_scheduler.h    LafScheduler::mu_
   kDelayScheduler = 510,  // sched/delay_scheduler.h  DelayScheduler::mu_
   kSlotArbiter = 520,     // sched/slot_arbiter.h     SlotArbiter::mu_
-  kTaskExecState = 525,   // sched/task_executor.h    TaskExecutor::grow_mu_
-  kTaskExecQueue = 530,   // sched/task_executor.h    TaskExecutor::Shard::mu
   kRuntimePredictor = 540,  // sched/runtime_predictor.h  RuntimePredictor::mu_
 
   // -- 600: storage ---------------------------------------------------------
@@ -90,7 +88,6 @@ enum class Rank : int {
   kMetrics = 910,        // common/metrics.h      MetricsRegistry::mu_
   kTraceRegistry = 920,  // obs/trace.h           Tracer::mu_
   kTraceLog = 930,       // obs/trace.h           Tracer::ThreadLog::mu
-  kEventCount = 940,     // common/event_count.h  EventCount::mu_
   kBufferPool = 950,     // common/buffer_pool.h  BufferPool::mu_
 
   // -- 980: function-local scratch locks (leaf) -----------------------------

@@ -91,23 +91,14 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
     arbiter_.SetWeight(user, weight);
   }
 
-  // One executor shard per worker, exactly slots threads per shard — the
-  // SlotArbiter (not thread count) bounds per-worker concurrency, and idle
-  // shards' threads steal queued tasks instead of sitting oversized.
-  sched::TaskExecutor::Options eopts;
-  eopts.threads_per_shard =
-      static_cast<std::size_t>(options_.map_slots + options_.reduce_slots);
-  executor_ = std::make_unique<sched::TaskExecutor>(
-      static_cast<std::size_t>(options_.num_servers), eopts);
-
   {
     MutexLock lock(workers_mu_);  // no concurrency yet; satisfies the analysis
     workers_.reserve(options_.num_servers);
     for (int i = 0; i < options_.num_servers; ++i) {
-      workers_.push_back(std::make_unique<WorkerServer>(
-          i, *transport_raw_, ring_provider, wopts, *executor_,
-          static_cast<std::size_t>(i)));
+      workers_.push_back(
+          std::make_unique<WorkerServer>(i, *transport_raw_, ring_provider, wopts));
       WireSlowDisk(*workers_.back());
+      // The worker's slots: map_slots + reduce_slots threads.
       arbiter_.AddWorker(i, options_.map_slots, options_.reduce_slots);
     }
 
@@ -162,8 +153,8 @@ Cluster::~Cluster() {
   // invocation returns) — the monitor thread outlives this cluster.
   if (options_.deployment) options_.deployment->OnWorkerFailure(nullptr);
   // Drain the job queue first: queued jobs are cancelled, running jobs
-  // observe their tokens — runner threads must exit before the workers,
-  // transport, and arbiter they use are torn down.
+  // observe their tokens — runner threads must exit before the arbiter's
+  // slot threads, the workers, and the transport they use are torn down.
   queue_.reset();
   {
     MutexLock lock(workers_mu_);
@@ -292,7 +283,7 @@ dfs::RecoveryReport Cluster::KillServer(int id) {
   // with it, exactly like a crashed machine) before dropping our route.
   if (options_.deployment) options_.deployment->ShutdownWorker(id);
   worker(id).Kill();
-  arbiter_.RemoveWorker(id);  // waiters on its slots fail over elsewhere
+  arbiter_.RemoveWorker(id);  // attempts queued for its slots fail over elsewhere
   {
     MutexLock lock(ring_mu_);
     ring_.RemoveServer(id);
@@ -364,9 +355,8 @@ int Cluster::AddServer(dfs::RecoveryReport* report) {
   {
     MutexLock lock(workers_mu_);
     id = static_cast<int>(workers_.size());
-    const std::size_t shard = executor_->AddShard();  // newcomer's home shard
-    workers_.push_back(std::make_unique<WorkerServer>(id, *transport_raw_, ring_provider,
-                                                      wopts, *executor_, shard));
+    workers_.push_back(
+        std::make_unique<WorkerServer>(id, *transport_raw_, ring_provider, wopts));
     WireSlowDisk(*workers_.back());
     if (options_.start_membership && !options_.deployment) {
       agents_.push_back(std::make_unique<dht::MembershipAgent>(
@@ -376,7 +366,7 @@ int Cluster::AddServer(dfs::RecoveryReport* report) {
   }
   // Visible to the arbiter before the ring: an in-flight job whose epoch
   // predates the newcomer may still never be routed to it, while a job
-  // started after the rebuild can Acquire its slots immediately.
+  // started after the rebuild can queue for its slots immediately.
   arbiter_.AddWorker(id, options_.map_slots, options_.reduce_slots);
   {
     MutexLock lock(ring_mu_);

@@ -28,7 +28,6 @@
 #include "sched/laf_scheduler.h"
 #include "sched/runtime_predictor.h"
 #include "sched/slot_arbiter.h"
-#include "sched/task_executor.h"
 
 namespace eclipse::mr {
 
@@ -110,10 +109,10 @@ struct ClusterOptions {
   std::string user = "eclipse";
 
   /// JobRunners executing at once through Submit (further submissions queue
-  /// FIFO). Thread count is NOT scaled by this: the shared work-stealing
-  /// TaskExecutor runs exactly map_slots + reduce_slots threads per worker
-  /// shard, and concurrent jobs' tasks interleave through the SlotArbiter
-  /// gate inside each task body.
+  /// FIFO). Thread count is NOT scaled by this: each worker's slots are
+  /// exactly map_slots + reduce_slots threads, and concurrent jobs' attempts
+  /// wait in the SlotArbiter's queues, holding no thread, until it grants
+  /// them a slot.
   int max_concurrent_jobs = 4;
 
   /// Fair-share weights per user for contended-slot arbitration (absent
@@ -279,8 +278,10 @@ class Cluster {
       GUARDED_BY(workers_mu_);  // empty when membership is off
   std::unique_ptr<dfs::DfsClient> client_;
 
-  // Internally synchronized; takes no other cluster lock (leaf-level, like
-  // the metrics registry), so it may be called from anywhere.
+  // Internally synchronized; takes no other cluster lock, so it may be
+  // called from anywhere. Owns the slot threads, which run task bodies that
+  // touch workers_: declared after workers_ so it is destroyed (threads
+  // joined) first, and after every runner is gone (see queue_).
   sched::SlotArbiter arbiter_;
 
   // Internally synchronized like the arbiter; outlives the queue (runner
@@ -290,15 +291,8 @@ class Cluster {
   mutable Mutex sched_mu_ ACQUIRED_AFTER(ring_mu_){Rank::kClusterSched, "Cluster::sched_mu_"};
   std::shared_ptr<const SchedulerEpoch> epoch_ GUARDED_BY(sched_mu_);
 
-  // Shared work-stealing executor: one shard per worker, map_slots +
-  // reduce_slots threads per shard. Declared after workers_ and before
-  // queue_, so destruction runs ~queue_ (runner threads exit) →
-  // ~executor_ (drain + join task threads) → ~workers_ (tasks never
-  // outlive the components they touch).
-  std::unique_ptr<sched::TaskExecutor> executor_;
-
   // Destroyed first (declaration order): runner threads drain before the
-  // executor, workers, transport, and arbiter they use go away.
+  // arbiter, workers, and transport they use go away.
   std::unique_ptr<JobQueue> queue_;
 };
 

@@ -35,8 +35,9 @@ void JobHandle::Cancel() {
   state_->cancel->store(true, std::memory_order_relaxed);
   obs::Tracer::Global().Emit('i', "mr", "job_cancel", obs::kDriverPid,
                              {obs::U64("job", state_->job_id)});
-  // Wake any task of this job blocked in SlotArbiter::Acquire — but never
-  // after completion, when the Cluster (and its arbiter) may be gone.
+  // Withdraw this job's attempts still queued for a slot (they complete
+  // kCancelled) — but never after completion, when the Cluster (and its
+  // arbiter) may be gone.
   MutexLock lock(state_->mu);
   if (!state_->done && state_->poke) state_->poke();
 }

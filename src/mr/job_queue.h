@@ -40,12 +40,13 @@ namespace internal {
 struct JobState {
   JobSpec spec;  // stable storage: the JobRunner holds a reference into this
   std::uint64_t job_id = 0;
-  /// Job-level cancellation token, observed by every task attempt, slot
-  /// wait, and phase boundary of this job.
+  /// Job-level cancellation token, observed by every task attempt, queued
+  /// slot request, and phase boundary of this job.
   std::shared_ptr<std::atomic<bool>> cancel =
       std::make_shared<std::atomic<bool>>(false);
-  /// Wakes slot-arbiter waiters after `cancel` flips (set at submit; not
-  /// called once `done` — handles must not outlive the Cluster).
+  /// Pokes the slot arbiter after `cancel` flips, withdrawing the job's
+  /// queued attempts (set at submit; not called once `done` — handles must
+  /// not outlive the Cluster).
   std::function<void()> poke;
   /// Predicted solo runtime from the cluster RuntimePredictor (0 while the
   /// predictor is cold for this job name). Immutable once Submit publishes

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
-#include <future>
 #include <optional>
 #include <set>
 #include <thread>
@@ -83,15 +82,6 @@ class VectorReduceContext : public ReduceContext {
 
  private:
   std::vector<KV> output_;
-};
-
-/// RAII guard pairing SlotArbiter::Acquire with its Release.
-struct SlotLease {
-  sched::SlotArbiter& arbiter;
-  int worker;
-  sched::SlotKind kind;
-  const std::string& user;
-  ~SlotLease() { arbiter.Release(worker, kind, user); }
 };
 
 /// Runs `fn` when the scope exits, whatever path it takes.
@@ -270,11 +260,12 @@ void JobRunner::CleanupCancelledSpills() {
   }
 }
 
-/// The attempt driver (declared in job_runner.h). Every attempt runs on its
-/// worker's executor shard and, as its last act, pushes its outcome onto
-/// this set's completion queue. The driver sleeps on that queue until an
-/// attempt completes or — with speculation on — until the earliest moment a
-/// running primary could cross the straggler threshold; nothing polls.
+/// The attempt driver (declared in job_runner.h). Every attempt is queued at
+/// the SlotArbiter, runs on a slot thread of its worker once granted, and as
+/// its last act pushes its outcome onto this set's completion queue. The
+/// driver sleeps on that queue until an attempt completes or — with
+/// speculation on — until the earliest moment a running primary could cross
+/// the straggler threshold; nothing polls.
 template <typename Outcome>
 class JobRunner::AttemptSet {
  public:
@@ -298,7 +289,6 @@ class JobRunner::AttemptSet {
     bool backup = false;
     std::shared_ptr<std::atomic<bool>> cancel;
     Clock::time_point start;
-    std::future<void> fut;  // joined before Run returns
   };
   struct Task {
     Bytes bytes = 0;            // predictor size bucket
@@ -350,11 +340,10 @@ class JobRunner::AttemptSet {
       TakeCompletions(LaunchBackups(), &batch);
       for (Completion& c : batch) Complete(c);
     }
-    // Every completion was consumed, but only a joined future proves its
-    // attempt body has returned and stopped touching this set.
-    for (Task& t : tasks) {
-      for (Attempt& a : t.attempts) a.fut.wait();
-    }
+    // Every completion was consumed, but only a destroyed body proves it has
+    // returned, freed its slot and stopped touching this set.
+    MutexLock lock(mu_);
+    while (live_ > 0) cv_.wait(lock);
     return fatal_;
   }
 
@@ -364,6 +353,21 @@ class JobRunner::AttemptSet {
     std::size_t attempt;
     Clock::time_point at;
     Outcome outcome;
+  };
+
+  /// Held by every submitted body, and counted in live_ while it exists. The
+  /// arbiter destroys a body only after it has returned and its slot is
+  /// free, so once live_ is 0 no attempt touches this set or holds a slot.
+  struct Flight {
+    explicit Flight(AttemptSet& s) : set(s) {
+      MutexLock lock(set.mu_);
+      ++set.live_;
+    }
+    ~Flight() {
+      MutexLock lock(set.mu_);
+      if (--set.live_ == 0) set.cv_.notify_one();  // only Run's last wait needs it
+    }
+    AttemptSet& set;
   };
 
   void LaunchPrimary(std::size_t i) {
@@ -380,22 +384,21 @@ class JobRunner::AttemptSet {
   void Launch(std::size_t i, int server, bool backup) {
     Task& t = tasks[i];
     Attempt& a = t.attempts.emplace_back(Attempt{
-        server, backup, std::make_shared<std::atomic<bool>>(false), Clock::now(), {}});
+        server, backup, std::make_shared<std::atomic<bool>>(false), Clock::now()});
     ++t.running;
     ++outstanding_;
     WorkerServer& w = r_.cluster_.worker(server);
-    // noexcept: a body that threw would never report its completion.
-    a.fut = w.Submit(
-        [this, &w, i, n = t.attempts.size() - 1, cancel = a.cancel]() noexcept {
-          // The shared slot gate: block here (not in the executor queue)
-          // until this job's fair share of the worker's slots admits the
-          // attempt; job or attempt cancellation and worker removal abort it.
+    // The shared slot gate: the body runs on a slot thread of `w` once this
+    // job's fair share admits it; job or attempt cancellation and worker
+    // removal withdraw it instead. noexcept: a body that threw would never
+    // report its completion.
+    r_.cluster_.arbiter().Submit(
+        server, phase_.slot, r_.user_, r_.cancel_.get(), a.cancel.get(),
+        [this, &w, i, n = t.attempts.size() - 1, cancel = a.cancel,
+         flight = std::make_shared<Flight>(*this)](Status slot) noexcept {
           Outcome o;
-          sched::SlotArbiter& arbiter = r_.cluster_.arbiter();
-          o.status =
-              arbiter.Acquire(w.id(), phase_.slot, r_.user_, r_.cancel_.get(), cancel.get());
+          o.status = std::move(slot);
           if (o.status.ok()) {
-            SlotLease lease{arbiter, w.id(), phase_.slot, r_.user_};
             // Every RPC the attempt makes (cache fetches, DHT-FS reads,
             // spill pushes) sees this cutoff through CurrentDeadline().
             net::ScopedDeadline deadline(TaskDeadline(r_.spec_));
@@ -410,8 +413,7 @@ class JobRunner::AttemptSet {
             done_.push_back(Completion{i, n, Clock::now(), std::move(o)});
           }
           cv_.notify_one();
-        },
-        a.cancel);
+        });
   }
 
   /// Block until an attempt completes (or `wake` passes), then move every
@@ -473,9 +475,8 @@ class JobRunner::AttemptSet {
         ++r_.stats_.speculative_wins;
         Instant("speculative_win", t, a.server);
       }
-      // Flip the losers' tokens. Targeted arbiter wakeups mean nobody
-      // re-checks tokens on an unrelated release: a loser blocked in Acquire
-      // must be poked.
+      // Flip the losers' tokens; a loser still queued for a slot is
+      // withdrawn by the poke and completes kCancelled at once.
       for (Attempt& other : t.attempts) other.cancel->store(true);
       if (t.running > 0) r_.cluster_.arbiter().Poke();
       t.outcome = std::move(o);
@@ -533,6 +534,7 @@ class JobRunner::AttemptSet {
   Mutex mu_{Rank::kScratch, "JobRunner::AttemptSet::mu_"};
   CondVar cv_;
   std::vector<Completion> done_ GUARDED_BY(mu_);
+  std::size_t live_ GUARDED_BY(mu_) = 0;  // submitted bodies not yet destroyed
 };
 
 Status JobRunner::RunReducePhase(std::vector<KV>* output) {
@@ -819,7 +821,7 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
   }
   out.input_bytes = data->size();
 
-  // Per-thread extraction buffers: executor threads are long-lived, so the
+  // Per-thread extraction buffers: slot threads are long-lived, so the
   // record-view vector's capacity and the boundary-tail arena's blocks warm
   // once and are reused by every map task this thread runs. Interior record
   // views alias the pinned block (`data` holds it for the whole task).
@@ -937,7 +939,7 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
 
   // Flat zero-copy grouping: decode every spill, in spill order, into one
   // view vector (`payloads` pins the bytes, so the views stay valid),
-  // index-sort once, then walk the key runs. The scratch is per executor
+  // index-sort once, then walk the key runs. The scratch is per slot
   // thread: its vectors' capacity survives across tasks, so a steady-state
   // reduce allocates nothing while decoding and grouping (asserted by
   // test_alloc_gate).

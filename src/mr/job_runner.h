@@ -111,10 +111,10 @@ class JobRunner {
   void CleanupCancelledSpills();
 
   /// The attempt driver both phases share (defined in job_runner.cc). It
-  /// owns launching attempts on worker shards, first-success-wins with the
-  /// losers' tokens flipped, the kMaxAttemptsPerTask relaunch budget, the
-  /// predictor and straggler-detector records, and the optional backup
-  /// attempt. Outcomes are consumed on the driver thread only, so stats_
+  /// owns queueing attempts for their workers' slots at the SlotArbiter,
+  /// first-success-wins with the losers' tokens flipped, the
+  /// kMaxAttemptsPerTask relaunch budget, the predictor and
+  /// straggler-detector records, and the optional backup attempt. Outcomes are consumed on the driver thread only, so stats_
   /// stays single-threaded.
   template <typename Outcome>
   class AttemptSet;
@@ -160,7 +160,7 @@ class JobRunner {
   /// retried attempt re-registers the same ids in spills_.
   std::vector<SpillInfo> orphan_spills_ GUARDED_BY(state_mu_);
   JobStats stats_;            // driver-thread only (outcomes are collected on
-                              // the submitting thread, never on pool threads)
+                              // the submitting thread, never on slot threads)
 };
 
 }  // namespace eclipse::mr

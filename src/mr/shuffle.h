@@ -100,7 +100,7 @@ bool ForEachGroup(std::vector<KV>& pairs,
                   const std::function<bool(const std::string& key,
                                            std::vector<std::string>& values)>& fn);
 
-/// Reusable reduce-task buffers. One instance lives per executor thread
+/// Reusable reduce-task buffers. One instance lives per slot thread
 /// (thread_local in job_runner.cc): Clear() drops contents but keeps every
 /// vector's capacity, so steady-state reduce tasks allocate nothing while
 /// grouping.

@@ -5,9 +5,8 @@
 namespace eclipse::mr {
 
 WorkerServer::WorkerServer(int id, net::Transport& transport,
-                           dfs::RingProvider ring_provider, const WorkerOptions& options,
-                           sched::TaskExecutor& executor, std::size_t shard)
-    : id_(id), transport_(transport), options_(options), executor_(executor), shard_(shard) {
+                           dfs::RingProvider ring_provider, const WorkerOptions& options)
+    : id_(id), transport_(transport), options_(options) {
   if (!options.remote) {
     dfs_node_ = std::make_unique<dfs::DfsNode>(id, dispatcher_);
     cache_node_ = std::make_unique<cache::CacheNode>(id, dispatcher_, options.cache_capacity);
@@ -26,8 +25,8 @@ WorkerServer::~WorkerServer() {
   // outlives this Cluster — dropping it here would strand the coordinator's
   // own shutdown broadcast. Only Kill() (crash semantics) severs it.
   if (!options_.remote) transport_.Register(id_, nullptr);
-  // In-flight tasks observe dead() and return fast; the Cluster drains the
-  // shared executor before any worker is destroyed, so no drain here.
+  // In-flight tasks observe dead() and return fast; the Cluster joins the
+  // slot threads before any worker is destroyed, so no drain here.
 }
 
 void WorkerServer::Kill() {

@@ -1,10 +1,9 @@
 // One emulated worker server: the unit the paper calls a "worker server" or
 // "node" — local disk (DfsNode), in-memory cache slice (CacheNode), and a
 // data-plane client for reading remote blocks and pushing intermediate
-// results. Task execution happens on the cluster's shared work-stealing
-// TaskExecutor (sched/task_executor.h): each worker owns one executor shard,
-// and its map/reduce slot counts are enforced by the SlotArbiter, not by
-// private thread pools.
+// results. Its task slots live in the cluster's SlotArbiter
+// (sched/slot_arbiter.h): map_slots map threads and reduce_slots reduce
+// threads that run the attempts queued for this worker.
 //
 // Control-plane task submission is direct (the Cluster owns the workers);
 // every data-plane byte still crosses the Transport, so killing a worker
@@ -14,13 +13,11 @@
 
 #include <atomic>
 #include <memory>
-#include <utility>
 
 #include "cache/cache_node.h"
 #include "dfs/dfs_client.h"
 #include "dfs/dfs_node.h"
 #include "net/dispatcher.h"
-#include "sched/task_executor.h"
 
 namespace eclipse::mr {
 
@@ -40,13 +37,8 @@ struct WorkerOptions {
 
 class WorkerServer {
  public:
-  /// `executor` outlives the worker; `shard` is this worker's home shard.
-  /// Tasks submitted here land on that shard, but may be stolen by any
-  /// executor thread — the slot gate, not thread placement, bounds this
-  /// worker's concurrency.
   WorkerServer(int id, net::Transport& transport, dfs::RingProvider ring_provider,
-               const WorkerOptions& options, sched::TaskExecutor& executor,
-               std::size_t shard);
+               const WorkerOptions& options);
   ~WorkerServer();
 
   WorkerServer(const WorkerServer&) = delete;
@@ -90,16 +82,6 @@ class WorkerServer {
   cache::CacheClient::RemoteInfo CacheInfo();
   void CacheResetStats();
 
-  /// Queue a task on this worker's executor shard. `cancel` travels with
-  /// the task across steals.
-  template <typename F>
-  auto Submit(F fn, std::shared_ptr<std::atomic<bool>> cancel = nullptr) {
-    return executor_.Submit(shard_, std::move(fn), std::move(cancel));
-  }
-
-  sched::TaskExecutor& executor() { return executor_; }
-  std::size_t shard() const { return shard_; }
-
   /// The node's message dispatcher — additional components (e.g. a
   /// MembershipAgent) register their routes here.
   net::Dispatcher& dispatcher() { return dispatcher_; }
@@ -118,8 +100,6 @@ class WorkerServer {
   std::unique_ptr<cache::CacheNode> cache_node_;
   std::unique_ptr<dfs::DfsClient> dfs_client_;
   std::unique_ptr<cache::CacheClient> cache_client_;
-  sched::TaskExecutor& executor_;
-  const std::size_t shard_;
 };
 
 }  // namespace eclipse::mr

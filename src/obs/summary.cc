@@ -159,6 +159,11 @@ std::vector<JobSummary> Summarize(const std::vector<TraceEvent>& events) {
     return hit;
   };
 
+  // Begins of each job's reduce_phase and reduce_task spans, matched up
+  // after the pass: a phase and its first task may share a timestamp, and
+  // spans with equal timestamps keep their completion order.
+  std::map<JobSummary*, std::vector<std::uint64_t>> phase_begins;
+  std::map<JobSummary*, std::vector<std::uint64_t>> reduce_begins;
   for (const CompletedSpan& s : spans) {
     // Attribution: an explicit `job` argument is authoritative — with
     // concurrent jobs, intervals overlap and containment alone would lump
@@ -193,6 +198,9 @@ std::vector<JobSummary> Summarize(const std::vector<TraceEvent>& events) {
     } else if (SameName(s.name, "reduce_task")) {
       ++j->reduces_total;
       j->reduce_task_us.push_back(s.dur_us);
+      reduce_begins[j].push_back(s.ts_us);
+    } else if (SameName(s.name, "reduce_phase")) {
+      phase_begins[j].push_back(s.ts_us);
     } else if (SameName(s.name, "map_phase")) {
       ++j->map_waves;
     } else if (SameName(s.name, "spill")) {
@@ -201,6 +209,13 @@ std::vector<JobSummary> Summarize(const std::vector<TraceEvent>& events) {
       ++j->laf_repartitions;
     } else if (SameName(s.name, "sched_assign")) {
       ++j->sched_assigns;
+    }
+  }
+  for (auto& [j, begins] : reduce_begins) {
+    const std::vector<std::uint64_t>& phases = phase_begins[j];  // ascending
+    for (std::uint64_t begin : begins) {
+      auto after = std::upper_bound(phases.begin(), phases.end(), begin);
+      if (after != phases.begin()) j->reduce_start_delay_us.push_back(begin - *(after - 1));
     }
   }
   return jobs;
@@ -243,6 +258,14 @@ std::string RenderJobSummaries(const std::vector<JobSummary>& jobs) {
     };
     render_lat("map task", job.map_task_us);
     render_lat("reduce task", job.reduce_task_us);
+    if (!job.reduce_start_delay_us.empty()) {
+      std::vector<std::uint64_t> us = job.reduce_start_delay_us;
+      std::sort(us.begin(), us.end());
+      AppendF(out, "  reduce start delay us: p50 %llu | p90 %llu | max %llu (n=%zu)\n",
+              static_cast<unsigned long long>(Quantile(us, 0.50)),
+              static_cast<unsigned long long>(Quantile(us, 0.90)),
+              static_cast<unsigned long long>(us.back()), us.size());
+    }
     AppendF(out, "  sched: %llu assign(s), %llu LAF repartition(s)\n",
             static_cast<unsigned long long>(job.sched_assigns),
             static_cast<unsigned long long>(job.laf_repartitions));

@@ -49,6 +49,11 @@ struct JobSummary {
   // in the rendered report are exact, computed from these.
   std::vector<std::uint64_t> map_task_us;
   std::vector<std::uint64_t> reduce_task_us;
+
+  // Per reduce_task span: its begin minus the begin of the job's latest
+  // reduce_phase span that starts at or before it (empty when the job has no
+  // reduce_phase span, as in DES captures).
+  std::vector<std::uint64_t> reduce_start_delay_us;
 };
 
 /// Reduce a trace to per-job summaries: pairs B/E spans per (pid, tid)

@@ -5,28 +5,47 @@
 
 namespace eclipse::sched {
 
+SlotArbiter::~SlotArbiter() {
+  std::vector<std::thread> threads;
+  {
+    MutexLock lock(mu_);
+    stop_ = true;
+    for (auto& [id, w] : workers_) {
+      w.map.cv.notify_all();
+      w.reduce.cv.notify_all();
+    }
+    threads = std::move(threads_);
+  }
+  for (auto& t : threads) t.join();
+}
+
 void SlotArbiter::AddWorker(int worker, int map_slots, int reduce_slots) {
   MutexLock lock(mu_);
-  WorkerSlots& w = workers_[worker];
-  w.free_map = map_slots;
-  w.free_reduce = reduce_slots;
-  w.alive = true;
-  GrantFreed(worker, SlotKind::kMap);
-  GrantFreed(worker, SlotKind::kReduce);
+  auto [it, added] = workers_.try_emplace(worker);
+  assert(added && "each worker id is added once");
+  if (!added) return;
+  WorkerSlots& w = it->second;
+  w.map.free = map_slots;
+  w.reduce.free = reduce_slots;
+  for (int i = 0; i < map_slots; ++i) threads_.emplace_back([this, &w] { SlotLoop(w.map); });
+  for (int i = 0; i < reduce_slots; ++i) {
+    threads_.emplace_back([this, &w] { SlotLoop(w.reduce); });
+  }
 }
 
 void SlotArbiter::RemoveWorker(int worker) {
-  MutexLock lock(mu_);
-  auto it = workers_.find(worker);
-  if (it == workers_.end()) return;
-  it->second.alive = false;
-  it->second.free_map = 0;
-  it->second.free_reduce = 0;
-  for (Waiter* waiter : waiters_) {
-    if (waiter->worker == worker && !waiter->granted && !waiter->failed) {
-      waiter->failed = true;
-      Signal(*waiter);
-    }
+  std::vector<Entry> orphans;
+  {
+    MutexLock lock(mu_);
+    auto it = workers_.find(worker);
+    if (it == workers_.end()) return;
+    it->second.alive = false;
+    Withdraw(it->second.map, /*cancelled_only=*/false, &orphans);
+    Withdraw(it->second.reduce, /*cancelled_only=*/false, &orphans);
+  }
+  for (Entry& e : orphans) {
+    e.run(Status::Error(ErrorCode::kUnavailable,
+                        "worker " + std::to_string(worker) + " removed while queued"));
   }
 }
 
@@ -68,91 +87,110 @@ double SlotArbiter::Share(const UserShare& u) const {
   return u.in_use / (u.weight * factor);
 }
 
-Status SlotArbiter::Acquire(int worker, SlotKind kind, const std::string& user,
-                            const std::atomic<bool>* cancel_a,
-                            const std::atomic<bool>* cancel_b) {
-  auto cancelled = [&] {
-    return (cancel_a != nullptr && cancel_a->load(std::memory_order_relaxed)) ||
-           (cancel_b != nullptr && cancel_b->load(std::memory_order_relaxed));
-  };
-  MutexLock lock(mu_);
-  if (cancelled()) return Status::Error(ErrorCode::kCancelled, "slot acquire cancelled");
-  auto it = workers_.find(worker);
-  if (it == workers_.end() || !it->second.alive) {
-    return Status::Error(ErrorCode::kUnavailable,
-                         "worker " + std::to_string(worker) + " not in arbiter");
-  }
-  // Fast path: a free slot and nobody ahead of us wants it. Taking it while
-  // same-kind waiters exist would jump the fairness queue — GrantFreed has
-  // already decided those slots belong to the waiters.
-  bool contended_kind = false;
-  for (const Waiter* w : waiters_) {
-    if (w->worker == worker && w->kind == kind && !w->granted && !w->failed) {
-      contended_kind = true;
-      break;
+void SlotArbiter::Submit(int worker, SlotKind kind, const std::string& user,
+                         const std::atomic<bool>* cancel_a,
+                         const std::atomic<bool>* cancel_b, RunFn run) {
+  Entry e{nullptr, cancel_a, cancel_b, 0, std::move(run)};
+  Status refused;
+  {
+    MutexLock lock(mu_);
+    auto it = workers_.find(worker);
+    if (e.Cancelled()) {
+      refused = Status::Error(ErrorCode::kCancelled, "cancelled before a slot was granted");
+    } else if (it == workers_.end() || !it->second.alive) {
+      refused = Status::Error(ErrorCode::kUnavailable,
+                              "worker " + std::to_string(worker) + " not in arbiter");
+    } else {
+      Pool& pool = it->second.pool(kind);
+      e.user = &users_[user];
+      e.seq = next_seq_++;
+      pool.queues[e.user].push_back(std::move(e));
+      ++pool.queued;
+      // Wake one sleeper unless every sleeper already has a wakeup coming.
+      if (pool.sleeping > pool.signalled) {
+        ++pool.signalled;
+        ++wakeup_signals_;
+        pool.cv.notify_one();
+      }
+      return;
     }
   }
-  if (!contended_kind && FreeCount(it->second, kind) > 0) {
-    --FreeCount(it->second, kind);
-    ++users_[user].in_use;
-    return Status::Ok();
-  }
+  e.run(refused);
+}
 
-  Waiter self;
-  self.worker = worker;
-  self.kind = kind;
-  self.user = &user;
-  self.seq = next_seq_++;
-  waiters_.push_back(&self);
-  // The slot we could not take might be assignable to us after all (e.g. we
-  // are now the needlest user); re-run the grant pass with us enqueued.
-  GrantFreed(worker, kind);
-  while (!self.granted && !self.failed && !cancelled()) {
-    self.cv.wait(lock);
-  }
-  waiters_.erase(std::find(waiters_.begin(), waiters_.end(), &self));
-  if (self.granted) {
-    ++contended_grants_;
-    if (cancelled()) {
-      // Lost the race between grant and wakeup: hand the slot back.
-      // GrantFreed already counted it against us, so a plain release undoes it.
-      ReleaseLocked(worker, kind, *self.user);
-      return Status::Error(ErrorCode::kCancelled, "slot acquire cancelled");
+SlotArbiter::Entry SlotArbiter::PopNext(Pool& pool) {
+  // Weighted max-min: the smallest-share user's head; the older head on ties.
+  std::deque<Entry>* best = nullptr;
+  double best_share = 0.0;
+  for (auto& [user, q] : pool.queues) {
+    if (q.empty()) continue;
+    const double share = Share(*user);
+    if (best == nullptr || share < best_share ||
+        (share == best_share && q.front().seq < best->front().seq)) {
+      best = &q;
+      best_share = share;
     }
-    return Status::Ok();
   }
-  if (self.failed) {
-    return Status::Error(ErrorCode::kUnavailable,
-                         "worker " + std::to_string(worker) + " removed while waiting");
-  }
-  return Status::Error(ErrorCode::kCancelled, "slot acquire cancelled");
+  assert(best != nullptr);
+  Entry e = std::move(best->front());
+  best->pop_front();
+  --pool.queued;
+  return e;
 }
 
-void SlotArbiter::Release(int worker, SlotKind kind, const std::string& user) {
-  MutexLock lock(mu_);
-  ReleaseLocked(worker, kind, user);
+void SlotArbiter::Withdraw(Pool& pool, bool cancelled_only, std::vector<Entry>* out) {
+  for (auto& [user, q] : pool.queues) {
+    for (auto it = q.begin(); it != q.end();) {
+      if (cancelled_only && !it->Cancelled()) {
+        ++it;
+        continue;
+      }
+      out->push_back(std::move(*it));
+      it = q.erase(it);
+      --pool.queued;
+    }
+  }
 }
 
-void SlotArbiter::ReleaseLocked(int worker, SlotKind kind, const std::string& user) {
-  auto uit = users_.find(user);
-  assert(uit != users_.end() && uit->second.in_use > 0);
-  if (uit != users_.end() && uit->second.in_use > 0) --uit->second.in_use;
-  auto it = workers_.find(worker);
-  if (it == workers_.end() || !it->second.alive) return;  // removed: absorb
-  ++FreeCount(it->second, kind);
-  GrantFreed(worker, kind);
+void SlotArbiter::SlotLoop(Pool& pool) {
+  for (;;) {
+    Entry e;  // destroyed at the end of the iteration, after its slot is free
+    bool granted = false;
+    {
+      MutexLock lock(mu_);
+      while (pool.queued == 0) {
+        if (stop_) return;
+        ++pool.sleeping;
+        pool.cv.wait(lock);
+        --pool.sleeping;
+        // Any return from the wait consumes a pending wakeup, so Submit's
+        // count of sleepers still to be woken never runs ahead of them.
+        if (pool.signalled > 0) --pool.signalled;
+      }
+      e = PopNext(pool);
+      granted = !e.Cancelled();
+      if (granted) {
+        --pool.free;
+        ++e.user->in_use;
+      }
+    }
+    if (!granted) {
+      e.run(Status::Error(ErrorCode::kCancelled, "cancelled before a slot was granted"));
+      continue;
+    }
+    e.run(Status::Ok());
+    MutexLock lock(mu_);
+    ++pool.free;
+    --e.user->in_use;
+  }
 }
 
 int SlotArbiter::FreeSlots(int worker, SlotKind kind) const {
   MutexLock lock(mu_);
   auto it = workers_.find(worker);
   if (it == workers_.end() || !it->second.alive) return 0;
-  // Slots already earmarked for waiters are not free to a prober.
-  int free = kind == SlotKind::kMap ? it->second.free_map : it->second.free_reduce;
-  for (const Waiter* w : waiters_) {
-    if (w->worker == worker && w->kind == kind && !w->granted && !w->failed) --free;
-  }
-  return free < 0 ? 0 : free;
+  const Pool& pool = kind == SlotKind::kMap ? it->second.map : it->second.reduce;
+  return pool.queued > 0 ? 0 : pool.free;
 }
 
 int SlotArbiter::InUse(const std::string& user) const {
@@ -163,51 +201,28 @@ int SlotArbiter::InUse(const std::string& user) const {
 
 std::size_t SlotArbiter::Waiting() const {
   MutexLock lock(mu_);
-  return waiters_.size();
-}
-
-std::uint64_t SlotArbiter::ContendedGrants() const {
-  MutexLock lock(mu_);
-  return contended_grants_;
+  std::size_t n = 0;
+  for (const auto& [id, w] : workers_) n += w.map.queued + w.reduce.queued;
+  return n;
 }
 
 void SlotArbiter::Poke() {
-  // Token re-check after a cancellation: every waiter must look at its own
-  // tokens, so this is the one legitimately O(waiters) signal — and it only
-  // runs on cancel events, never on the per-release path.
-  MutexLock lock(mu_);
-  for (Waiter* waiter : waiters_) Signal(*waiter);
+  std::vector<Entry> cancelled;
+  {
+    MutexLock lock(mu_);
+    for (auto& [id, w] : workers_) {
+      Withdraw(w.map, /*cancelled_only=*/true, &cancelled);
+      Withdraw(w.reduce, /*cancelled_only=*/true, &cancelled);
+    }
+  }
+  for (Entry& e : cancelled) {
+    e.run(Status::Error(ErrorCode::kCancelled, "cancelled while queued for a slot"));
+  }
 }
 
 std::uint64_t SlotArbiter::WakeupSignals() const {
   MutexLock lock(mu_);
   return wakeup_signals_;
-}
-
-void SlotArbiter::GrantFreed(int worker, SlotKind kind) {
-  auto wit = workers_.find(worker);
-  if (wit == workers_.end() || !wit->second.alive) return;
-  int& free = FreeCount(wit->second, kind);
-  while (free > 0) {
-    // Weighted max-min: among waiters for this (worker, kind), pick the one
-    // whose user holds the smallest share = in_use / weight; FIFO on ties.
-    Waiter* best = nullptr;
-    double best_share = 0.0;
-    for (Waiter* w : waiters_) {
-      if (w->worker != worker || w->kind != kind || w->granted || w->failed) continue;
-      double share = Share(users_[*w->user]);
-      if (best == nullptr || share < best_share ||
-          (share == best_share && w->seq < best->seq)) {
-        best = w;
-        best_share = share;
-      }
-    }
-    if (best == nullptr) break;
-    --free;
-    ++users_[*best->user].in_use;
-    best->granted = true;
-    Signal(*best);
-  }
 }
 
 }  // namespace eclipse::sched

@@ -1,39 +1,41 @@
-// Cross-job task-slot arbitration (multi-tenancy for the paper's resource
-// manager, §II-A).
+// Cross-job task-slot arbitration, and the slots themselves (multi-tenancy
+// for the paper's resource manager, §II-A).
 //
-// With a single job, each worker's fixed map/reduce slot count is enforced
-// by the size of its task thread pool. With N concurrent jobs that private
-// assumption breaks: every JobRunner would see the full pool as its own.
-// The SlotArbiter is the shared source of truth — every task attempt, from
-// any job, must Acquire a (worker, kind) slot before computing and Release
-// it afterwards, so per-worker concurrency never exceeds the configured
-// slot count no matter how many jobs are in flight.
+// Each worker server has a fixed number of map and reduce slots, and here a
+// slot *is* a thread: AddWorker starts the worker's map_slots map threads and
+// reduce_slots reduce threads. Every task attempt, from any job, is Submit-ted
+// as a queued entry keyed by (worker, slot kind, user). An entry holds no
+// thread while it waits; a slot thread of its worker runs it once the arbiter
+// grants it, so per-worker concurrency is the configured slot count no matter
+// how many jobs are in flight, and the process runs Σ slots task threads.
 //
-// Contended slots are granted by weighted max-min fairness per user: when a
-// slot frees, it goes to the waiting user with the smallest share, where
-// share = (slots currently held across all workers) / weight. Ties fall
-// back to arrival order, so a user's own requests stay FIFO and no waiter
-// starves (its share only shrinks relative to users that keep getting
-// grants). Weights default to 1.0 (equal shares); SetWeight gives a user a
-// proportionally larger share of contended slots.
+// Contended slots are granted by weighted max-min fairness per user: a freed
+// slot goes to the head of the queue whose user has the smallest share, where
+// share = (slots currently held across all workers) / weight. Each user's
+// entries on one (worker, kind) form a FIFO and ties go to the older head, so
+// a user's own attempts stay in order and no entry starves (its share only
+// shrinks relative to users that keep getting grants). Weights default to 1.0
+// (equal shares); SetWeight gives a user a proportionally larger share.
+//
+// Wakeups: a slot thread that finishes a body takes the next grant for its
+// (worker, kind) itself, with no wakeup. It sleeps on its (worker, kind)
+// condvar only when nothing is queued there, and a Submit wakes at most one
+// sleeper. WakeupSignals() counts those signals so tests can assert that a
+// queue drains without them.
 //
 // Lock discipline: one internal mutex, held only for bookkeeping — never
-// across a task, an RPC, or a scheduler decision. Each blocked Acquire
-// sleeps on its *own* condition variable, and state changes signal exactly
-// the waiters they affect: a release wakes the one waiter the freed slot
-// was granted to, a worker removal wakes that worker's waiters, and Poke()
-// (cancellation-token re-check) walks the waiter list once. The previous
-// design broadcast one shared condvar on every release — with W waiters
-// across J jobs each release cost W wakeups, a thundering herd measured as
-// a top multi-job tax (docs/performance.md). WakeupSignals() counts the
-// targeted signals so tests can assert the herd stays gone.
+// across a task body, an RPC, or a scheduler decision. No `run` is ever
+// called under it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/result.h"
@@ -44,18 +46,32 @@ enum class SlotKind { kMap, kReduce };
 
 class SlotArbiter {
  public:
+  /// A task attempt's body. Called exactly once, never under the arbiter's
+  /// lock, with:
+  ///   Ok            — on a slot thread of the worker, holding the slot; the
+  ///                   slot is freed when run returns
+  ///   kUnavailable  — the worker is unknown or removed (at submit or while
+  ///                   queued): re-place the task
+  ///   kCancelled    — a token was set at submit, while queued, or at grant
+  ///                   time; a cancelled entry is never charged a slot
+  /// `run` and everything it captured are destroyed after it returns and
+  /// after its slot (if any) is free, so a capture's destructor marks the
+  /// moment the attempt is fully over.
+  using RunFn = std::function<void(Status)>;
+
   SlotArbiter() = default;
+  /// Stops and joins the slot threads once nothing is queued.
+  ~SlotArbiter();
 
   SlotArbiter(const SlotArbiter&) = delete;
   SlotArbiter& operator=(const SlotArbiter&) = delete;
 
-  /// Register a worker's slot capacity. Re-adding an existing id resets its
-  /// free counts (only valid when no slots of that worker are held).
+  /// Register a worker and start its slot threads. Each id is added once.
   void AddWorker(int worker, int map_slots, int reduce_slots);
 
-  /// The worker died: current and future Acquire calls on it fail
-  /// kUnavailable. Slots already held may still be Released (the release is
-  /// absorbed without re-granting).
+  /// The worker died: its queued entries, and any later Submit to it, run
+  /// with kUnavailable. Bodies already running finish; their slots are
+  /// absorbed, never granted again.
   void RemoveWorker(int worker);
 
   /// Fair-share weight for `user` (default 1.0; must be > 0).
@@ -77,91 +93,91 @@ class SlotArbiter {
   /// Currently reported demand for `user` (µs; 0 when none).
   double PredictedDemand(const std::string& user) const;
 
-  /// Block until a slot of `kind` on `worker` is granted. Returns:
-  ///   Ok            — slot held; caller must Release(worker, kind, user)
-  ///   kUnavailable  — worker unknown or removed (re-place the task)
-  ///   kCancelled    — a cancellation token flipped while waiting
-  /// Either token pointer may be null. Tokens are polled on wakeups; callers
-  /// that flip a token must Poke() the arbiter (JobHandle::Cancel does).
-  Status Acquire(int worker, SlotKind kind, const std::string& user,
-                 const std::atomic<bool>* cancel_a = nullptr,
-                 const std::atomic<bool>* cancel_b = nullptr);
+  /// Queue `run` for a slot of `kind` on `worker` on behalf of `user` (see
+  /// RunFn for how it is called). Either token pointer may be null; a token
+  /// must outlive the entry. Callers that set a token Poke() the arbiter so
+  /// the entry leaves its queue at once.
+  void Submit(int worker, SlotKind kind, const std::string& user,
+              const std::atomic<bool>* cancel_a, const std::atomic<bool>* cancel_b,
+              RunFn run);
 
-  /// Return a slot granted by Acquire.
-  void Release(int worker, SlotKind kind, const std::string& user);
-
-  /// Free slots of `kind` on `worker` right now (0 for unknown/removed
-  /// workers). The scheduler's availability probe — inherently racy, like
-  /// the pool-depth probe it replaces; the authoritative gate is Acquire.
+  /// Idle slots of `kind` on `worker` right now: 0 for an unknown or
+  /// removed worker, and 0 while any entry is queued there. The schedulers'
+  /// availability probe — inherently racy; the authoritative gate is Submit.
   int FreeSlots(int worker, SlotKind kind) const;
 
   /// Slots currently held by `user` across all workers.
   int InUse(const std::string& user) const;
 
-  /// Waiters currently blocked in Acquire (for tests and gauges).
+  /// Entries queued for a slot, over every worker (tests and gauges).
   std::size_t Waiting() const;
 
-  /// Total grants handed out that had to wait at least one wakeup.
-  std::uint64_t ContendedGrants() const;
-
-  /// Wake every waiter so it re-checks its cancellation tokens.
+  /// Withdraw every queued entry whose token is set; each runs kCancelled.
   void Poke();
 
-  /// Total targeted wakeup signals issued (grants, failures, pokes). A
-  /// release that grants one slot issues exactly one signal regardless of
-  /// how many tasks are waiting (asserted by SlotArbiter.BoundedWakeups).
+  /// Wakeup signals sent to sleeping slot threads. A queue that builds up
+  /// behind busy slots drains with none (asserted by
+  /// SlotArbiter.BoundedWakeupsPerRelease).
   std::uint64_t WakeupSignals() const;
 
  private:
-  struct WorkerSlots {
-    int free_map = 0;
-    int free_reduce = 0;
-    bool alive = false;
-  };
   struct UserShare {
     int in_use = 0;
     double weight = 1.0;
     double demand_us = 0.0;  // predicted remaining work (0 = not reported)
   };
-  struct Waiter {
-    int worker = 0;
-    SlotKind kind = SlotKind::kMap;
-    const std::string* user = nullptr;
-    std::uint64_t seq = 0;     // arrival order (FIFO tie-break)
-    bool granted = false;      // slot transferred to this waiter
-    bool failed = false;       // worker removed while waiting
-    CondVar cv;                // private wakeup channel (targeted signals)
+  struct Entry {
+    UserShare* user = nullptr;  // node in users_ (never erased)
+    const std::atomic<bool>* cancel_a = nullptr;
+    const std::atomic<bool>* cancel_b = nullptr;
+    std::uint64_t seq = 0;  // arrival order (FIFO tie-break)
+    RunFn run;
+
+    bool Cancelled() const {
+      return (cancel_a != nullptr && cancel_a->load(std::memory_order_relaxed)) ||
+             (cancel_b != nullptr && cancel_b->load(std::memory_order_relaxed));
+    }
+  };
+  /// One (worker, kind): its slot threads' bookkeeping and its queues.
+  struct Pool {
+    int free = 0;           // slots not running a body
+    int sleeping = 0;       // slot threads waiting on cv
+    int signalled = 0;      // wakeups sent that no sleeper has consumed yet
+    std::size_t queued = 0;
+    std::map<UserShare*, std::deque<Entry>> queues;  // one FIFO per user
+    CondVar cv;
+  };
+  struct WorkerSlots {
+    bool alive = true;
+    Pool map;
+    Pool reduce;
+    Pool& pool(SlotKind kind) { return kind == SlotKind::kMap ? map : reduce; }
   };
 
-  int& FreeCount(WorkerSlots& w, SlotKind kind) const {
-    return kind == SlotKind::kMap ? w.free_map : w.free_reduce;
-  }
   double Share(const UserShare& u) const REQUIRES(mu_);
 
-  /// Hand every free slot of (worker, kind) to the needlest waiters,
-  /// signalling each grantee's private condvar.
-  /// Call with mu_ held after any state change that frees a slot.
-  void GrantFreed(int worker, SlotKind kind) REQUIRES(mu_);
+  /// Pop the entry the next free slot of `pool` goes to: the head of the
+  /// smallest-share user's queue, the older head on ties. Requires queued > 0.
+  Entry PopNext(Pool& pool) REQUIRES(mu_);
 
-  void ReleaseLocked(int worker, SlotKind kind, const std::string& user) REQUIRES(mu_);
+  /// Move `pool`'s queued entries into `out`: all of them, or only those
+  /// whose token is set.
+  void Withdraw(Pool& pool, bool cancelled_only, std::vector<Entry>* out) REQUIRES(mu_);
 
-  /// Wake exactly one waiter (its cv), counting the signal.
-  void Signal(Waiter& w) REQUIRES(mu_) {
-    ++wakeup_signals_;
-    w.cv.notify_one();
-  }
+  /// A slot thread: run granted entries of `pool` until stopped.
+  void SlotLoop(Pool& pool);
 
   mutable Mutex mu_{Rank::kSlotArbiter, "SlotArbiter::mu_"};
-  std::map<int, WorkerSlots> workers_ GUARDED_BY(mu_);
+  std::map<int, WorkerSlots> workers_ GUARDED_BY(mu_);  // nodes never move
   std::map<std::string, UserShare> users_ GUARDED_BY(mu_);
-  std::deque<Waiter*> waiters_ GUARDED_BY(mu_);
   // Aggregate over users with demand_us > 0, kept incrementally so Share is
-  // O(1) inside GrantFreed's waiter scan.
+  // O(1) inside PopNext's queue scan.
   double demand_sum_us_ GUARDED_BY(mu_) = 0.0;
   int demand_users_ GUARDED_BY(mu_) = 0;
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 0;
-  std::uint64_t contended_grants_ GUARDED_BY(mu_) = 0;
   std::uint64_t wakeup_signals_ GUARDED_BY(mu_) = 0;
+  bool stop_ GUARDED_BY(mu_) = false;
+  std::vector<std::thread> threads_ GUARDED_BY(mu_);
 };
 
 }  // namespace eclipse::sched

@@ -1,18 +1,15 @@
-// Units, Result/Status, serde, arena, buffer pool, event count, thread
-// pool, and RNG distribution tests.
+// Units, Result/Status, serde, arena, buffer pool, and RNG distribution
+// tests.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/buffer_pool.h"
-#include "common/event_count.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/serde.h"
@@ -235,41 +232,6 @@ TEST(BufferPoolTest, DropsUselessAndOversizedBuffers) {
   huge.reserve(65 * 1024 * 1024);  // above the retention ceiling
   pool.Release(std::move(huge));
   EXPECT_EQ(pool.PooledCount(), 0u);
-}
-
-TEST(EventCountTest, NotifyWakesCommittedWaiter) {
-  EventCount ec;
-  std::atomic<bool> ready{false};
-  std::atomic<bool> woke{false};
-  std::thread waiter([&] {
-    while (!ready.load(std::memory_order_acquire)) {
-      std::uint64_t t = ec.PrepareWait();
-      if (ready.load(std::memory_order_acquire)) {
-        ec.CancelWait();
-        break;
-      }
-      ec.CommitWait(t);
-    }
-    woke.store(true, std::memory_order_release);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ready.store(true, std::memory_order_release);
-  ec.NotifyOne();
-  waiter.join();
-  EXPECT_TRUE(woke.load());
-}
-
-TEST(EventCountTest, NotifyBetweenPrepareAndCommitIsNotLost) {
-  // The race the epoch ticket exists for: the notify lands after the
-  // waiter registered but before it slept. CommitWait must return
-  // immediately instead of sleeping forever.
-  EventCount ec;
-  for (int round = 0; round < 100; ++round) {
-    std::uint64_t t = ec.PrepareWait();
-    ec.NotifyOne();   // bumps the epoch because a waiter is registered
-    ec.CommitWait(t); // sees epoch != ticket, returns without a wakeup
-  }
-  SUCCEED();
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <regex>
@@ -327,22 +328,41 @@ TEST_F(SubprocessDeployTest, WordCountBitIdenticalToInProcess) {
   ASSERT_EQ(access(coordinator_bin.c_str(), X_OK), 0) << coordinator_bin;
 
   const std::string dir = ::testing::TempDir();
-  const int port = 21000 + static_cast<int>(getpid() % 20000);
-  const std::string endpoint = "127.0.0.1:" + std::to_string(port);
+  const std::string coordinator_log = dir + "coordinator.log";
+  // An older run's log would hand the port poll below a stale port.
+  std::remove(coordinator_log.c_str());
+  // The coordinator binds an ephemeral port (--port 0) and prints it before
+  // it waits for workers; the workers are started against that port.
+  pid_t coordinator = Spawn(
+      {coordinator_bin, "--port", "0", "--workers", "3", "--wait-ms", "30000", "--seed",
+       "1234", "--input-kb", "32", "--block-kb", "4"},
+      coordinator_log);
+  std::string endpoint;
+  const std::regex bound(R"(bootstrap on ([0-9.]+:[0-9]+))");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (endpoint.empty() && std::chrono::steady_clock::now() < deadline) {
+    const std::string log = Slurp(coordinator_log);
+    if (std::smatch m; std::regex_search(log, m, bound)) {
+      endpoint = m[1].str();
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  if (endpoint.empty()) {
+    kill(coordinator, SIGKILL);
+    waitpid(coordinator, nullptr, 0);
+    FAIL() << "coordinator never reported its port:\n" << Slurp(coordinator_log);
+  }
 
   std::vector<pid_t> workers;
   for (int i = 0; i < 3; ++i) {
     workers.push_back(Spawn({worker_bin, "--coordinator", endpoint},
                             dir + "worker" + std::to_string(i) + ".log"));
   }
-  pid_t coordinator = Spawn(
-      {coordinator_bin, "--port", std::to_string(port), "--workers", "3", "--wait-ms",
-       "30000", "--seed", "1234", "--input-kb", "32", "--block-kb", "4"},
-      dir + "coordinator.log");
 
   int status = 0;
   ASSERT_EQ(waitpid(coordinator, &status, 0), coordinator);
-  const std::string coord_log = Slurp(dir + "coordinator.log");
+  const std::string coord_log = Slurp(coordinator_log);
   ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << coord_log;
   for (pid_t w : workers) {
     ASSERT_EQ(waitpid(w, &status, 0), w);

@@ -364,5 +364,65 @@ TEST(JobQueue, PerUserJobsShareCluster) {
   EXPECT_EQ(cluster.arbiter().InUse("bob"), 0);
 }
 
+// Slots are granted per user from the arbiter's queues, not first come first
+// served: a small job from a second tenant must not wait behind the first
+// tenant's whole map wave. One server, so no other worker's slots can help.
+TEST(JobQueue, AnotherTenantsMapWaveDoesNotHoldUpAJob) {
+  mr::ClusterOptions opts;
+  opts.num_servers = 1;
+  opts.block_size = 512;
+  opts.max_concurrent_jobs = 2;
+  mr::Cluster cluster(opts);
+  std::string text_a = MakeText(91, 32_KiB);
+  std::string text_b = MakeText(92, 1_KiB);
+  ASSERT_TRUE(cluster.dfs().Upload("a", text_a).ok());
+  ASSERT_TRUE(cluster.dfs().Upload("b", text_b).ok());
+
+  auto maps_done = std::make_shared<std::atomic<int>>(0);
+  mr::JobSpec wave = apps::WordCountJob("wave", "a");
+  wave.user = "alice";
+  auto base_mapper = wave.mapper;
+  wave.mapper = [base_mapper, maps_done] {
+    class Slowed : public mr::Mapper {
+     public:
+      Slowed(std::unique_ptr<mr::Mapper> inner, std::shared_ptr<std::atomic<int>> done)
+          : inner_(std::move(inner)), done_(std::move(done)) {}
+      void Map(std::string_view record, mr::MapContext& ctx) override {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        inner_->Map(record, ctx);
+      }
+      void Finish(mr::MapContext& ctx) override {
+        inner_->Finish(ctx);
+        done_->fetch_add(1);
+      }
+
+     private:
+      std::unique_ptr<mr::Mapper> inner_;
+      std::shared_ptr<std::atomic<int>> done_;
+    };
+    return std::unique_ptr<mr::Mapper>(new Slowed(base_mapper(), maps_done));
+  };
+  mr::JobHandle ha = cluster.Submit(std::move(wave));
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cluster.arbiter().InUse("alice") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(cluster.arbiter().InUse("alice"), 0) << "alice's job never started";
+
+  mr::JobSpec small = apps::WordCountJob("small", "b");
+  small.user = "bob";
+  mr::JobHandle hb = cluster.Submit(std::move(small));
+  mr::JobResult rb = hb.Wait();
+  const int done_at_bob = maps_done->load();
+  mr::JobResult ra = ha.Wait();
+  ExpectWordCount(rb, text_b);
+  ExpectWordCount(ra, text_a);
+  EXPECT_LT(done_at_bob * 2, static_cast<int>(ra.stats.map_tasks))
+      << "bob's job finished after " << done_at_bob << " of alice's " << ra.stats.map_tasks
+      << " maps";
+  ExpectAllSlotsFree(cluster);
+}
+
 }  // namespace
 }  // namespace eclipse

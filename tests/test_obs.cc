@@ -351,5 +351,47 @@ TEST(SummaryTest, AttributesEventsToEnclosingJob) {
   EXPECT_EQ(jobs[1].reduces_total, 0u);
 }
 
+TEST(SummaryTest, ReduceStartDelayFromLatestReducePhase) {
+  using obs::TraceEvent;
+  auto ev = [](const char* name, std::uint64_t ts, std::uint64_t dur, std::uint64_t job) {
+    TraceEvent e;
+    e.phase = 'X';
+    e.cat = "mr";
+    e.name = name;
+    e.pid = 1;
+    e.tid = 0;
+    e.ts_us = ts;
+    e.dur_us = dur;
+    e.args[e.nargs++] = obs::U64("job", job);
+    return e;
+  };
+  std::vector<TraceEvent> events = {
+      ev("job", 0, 1000, 7),
+      ev("reduce_task", 50, 10, 7),  // before any reduce_phase: no delay
+      // Same begin as its phase, and listed first, as B/E pairs complete.
+      ev("reduce_task", 100, 20, 7),
+      ev("reduce_phase", 100, 400, 7),
+      ev("reduce_task", 130, 20, 7),
+      ev("reduce_task", 400, 20, 7),
+      ev("reduce_phase", 600, 100, 7),  // a rebuilt plan's second pass
+      ev("reduce_task", 650, 20, 7),
+      ev("job", 2000, 100, 8),
+      ev("reduce_task", 2010, 5, 8),  // no reduce_phase, as in DES captures
+  };
+  auto jobs = obs::Summarize(events);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].reduces_total, 5u);
+  EXPECT_EQ(jobs[0].reduce_start_delay_us, (std::vector<std::uint64_t>{0, 30, 300, 50}));
+  EXPECT_TRUE(jobs[1].reduce_start_delay_us.empty());
+
+  const std::string report = obs::RenderJobSummaries(jobs);
+  EXPECT_NE(report.find("  reduce start delay us: p50 50 | p90 300 | max 300 (n=4)\n"),
+            std::string::npos)
+      << report;
+  const std::size_t job8 = report.find("job 8:");
+  ASSERT_NE(job8, std::string::npos);
+  EXPECT_EQ(report.find("reduce start delay", job8), std::string::npos) << report;
+}
+
 }  // namespace
 }  // namespace eclipse

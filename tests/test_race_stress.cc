@@ -1,7 +1,7 @@
 // Race-hunting stress suite: designed to make TSan bite.
 //
 // Every test here hammers one of the concurrency-heavy layers from many
-// threads at once — the shared-budget LRU cache, the task executor,
+// threads at once — the shared-budget LRU cache, the slot arbiter,
 // transport registration vs. in-flight calls, DHT membership churn racing
 // routing lookups, and a full job running concurrently with a server kill.
 // The assertions check invariants that only hold if the locking is right;
@@ -36,7 +36,7 @@
 #include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "obs/trace.h"
-#include "sched/task_executor.h"
+#include "sched/slot_arbiter.h"
 #include "workload/generators.h"
 
 namespace eclipse {
@@ -558,45 +558,78 @@ TEST(RaceStress, TraceEmissionVsCaptureControl) {
   (void)events;
 }
 
-TEST(RaceStress, ExecutorStealVsCancel) {
-  // Thieves pulling tasks off a victim's deque race a flipper setting the
-  // cancellation token mid-stream. The executor's contract: every future is
-  // satisfied no matter the interleaving (bodies turn a flipped token into a
-  // cancelled result; the executor never drops a task). TSan checks the
-  // token handoff through a steal is synchronized; the counters check
-  // nothing is lost or doubled.
-  sched::TaskExecutor::Options opts;
-  opts.threads_per_shard = 1;
-  sched::TaskExecutor exec(4, opts);
+TEST(RaceStress, ArbiterSubmitVsPokeVsRemoveWorker) {
+  // Submitters queue attempts on two workers while a flipper sets the token
+  // half of them carry and pokes, and a remover takes one worker away. The
+  // arbiter's contract: every body is called exactly once — granted,
+  // withdrawn as cancelled, or refused as unavailable — whatever the
+  // interleaving, and once the round drains no slot is held and nothing is
+  // queued. TSan checks the handoffs between submitters, pokes, removal and
+  // the slot threads.
   constexpr int kRounds = 50;
-  constexpr int kTasks = 64;
+  constexpr int kSubmitters = 3;
+  constexpr int kPerSubmitter = 40;
+  constexpr int kTotal = kSubmitters * kPerSubmitter;
+  const std::string users[] = {"alice", "bob"};
+  int withdrawn = 0;
   for (int round = 0; round < kRounds; ++round) {
-    auto cancel = std::make_shared<std::atomic<bool>>(false);
-    std::atomic<int> ran{0};
-    std::vector<std::future<bool>> futs;
-    futs.reserve(kTasks);
-    std::thread flipper([&cancel] {
+    std::atomic<bool> cancel{false};
+    std::vector<std::atomic<int>> calls(kTotal);
+    std::atomic<int> granted{0};
+    std::atomic<int> cancelled{0};
+    std::atomic<int> unavailable{0};
+    sched::SlotArbiter arb;
+    arb.AddWorker(0, 1, 1);
+    arb.AddWorker(1, 1, 1);
+    std::vector<std::thread> threads;
+    for (int s = 0; s < kSubmitters; ++s) {
+      threads.emplace_back([&, s] {
+        for (int i = 0; i < kPerSubmitter; ++i) {
+          const int idx = s * kPerSubmitter + i;
+          const auto kind = idx % 3 == 0 ? sched::SlotKind::kReduce : sched::SlotKind::kMap;
+          arb.Submit(idx % 2, kind, users[s % 2], (idx / 2) % 2 == 0 ? &cancel : nullptr, nullptr,
+                     [&, idx](Status st) {
+                       calls[idx].fetch_add(1, std::memory_order_relaxed);
+                       if (st.ok()) {
+                         // Hold the slot a moment so the queues are still
+                         // full when the flipper and the remover strike.
+                         std::this_thread::sleep_for(std::chrono::microseconds(20));
+                         granted.fetch_add(1, std::memory_order_relaxed);
+                       } else if (st.code() == ErrorCode::kCancelled) {
+                         cancelled.fetch_add(1, std::memory_order_relaxed);
+                       } else if (st.code() == ErrorCode::kUnavailable) {
+                         unavailable.fetch_add(1, std::memory_order_relaxed);
+                       }
+                     });
+        }
+      });
+    }
+    threads.emplace_back([&] {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
-      cancel->store(true, std::memory_order_release);
+      cancel.store(true, std::memory_order_relaxed);
+      arb.Poke();
     });
-    for (int i = 0; i < kTasks; ++i) {
-      // All onto shard 0: completion of the tail requires steals while the
-      // flipper races the token.
-      futs.push_back(exec.Submit(0, [&ran] {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }, cancel));
+    threads.emplace_back([&] {
+      std::this_thread::sleep_for(std::chrono::microseconds(80));
+      arb.RemoveWorker(1);
+    });
+    for (auto& t : threads) t.join();
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    auto drained = [&] {
+      return granted.load() + cancelled.load() + unavailable.load() == kTotal &&
+             arb.InUse("alice") == 0 && arb.InUse("bob") == 0;
+    };
+    while (!drained() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    int satisfied = 0;
-    for (auto& f : futs) {
-      f.get();
-      ++satisfied;
+    ASSERT_TRUE(drained()) << "round " << round;
+    EXPECT_EQ(arb.Waiting(), 0u) << "round " << round;
+    for (int i = 0; i < kTotal; ++i) {
+      ASSERT_EQ(calls[i].load(), 1) << "round " << round << " entry " << i;
     }
-    flipper.join();
-    ASSERT_EQ(satisfied, kTasks) << "round " << round;
-    ASSERT_EQ(ran.load(), kTasks) << "round " << round;
+    withdrawn += cancelled.load() + unavailable.load();
   }
-  exec.Drain();
+  EXPECT_GT(withdrawn, 0) << "no round withdrew a queued entry: the race never happened";
 }
 
 TEST(RaceStress, ConnPoolReleaseVsCloseAll) {

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <future>
 #include <map>
 #include <thread>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "sched/key_histogram.h"
 #include "sched/laf_scheduler.h"
 #include "sched/slot_arbiter.h"
-#include "sched/task_executor.h"
 
 namespace eclipse::sched {
 namespace {
@@ -276,11 +276,11 @@ TEST(CountStdDevTest, Values) {
   EXPECT_NEAR(CountStdDev({0, 10}), 5.0, 1e-12);
 }
 
-// ---- SlotArbiter: cross-job slot accounting and weighted fairness --------
+// ---- SlotArbiter: slot threads, accounting and weighted fairness -------
 
 namespace {
-/// Spin until `fn()` is true or ~2 s elapse (the arbiter has no futures to
-/// join; waiter visibility is the only observable ordering signal).
+/// Spin until `fn()` is true or ~2 s elapse (bodies run on the arbiter's
+/// slot threads; their effects are the only observable ordering signal).
 bool Eventually(const std::function<bool()>& fn) {
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
   while (!fn()) {
@@ -289,318 +289,224 @@ bool Eventually(const std::function<bool()>& fn) {
   }
   return true;
 }
+
+/// One submitted body. Records the status it was called with; when granted
+/// a slot it holds the slot until Release().
+class Probe {
+ public:
+  SlotArbiter::RunFn Body() {
+    return [this](Status s) {
+      code_.store(static_cast<int>(s.code()));
+      calls_.fetch_add(1);
+      if (s.ok()) held_.wait();
+    };
+  }
+  void Release() { release_.set_value(); }
+  /// Called with Ok: running on a slot thread, holding the slot.
+  bool Running() const { return calls_.load() == 1 && code() == ErrorCode::kOk; }
+  int calls() const { return calls_.load(); }
+  ErrorCode code() const { return static_cast<ErrorCode>(code_.load()); }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> held_ = release_.get_future().share();
+  std::atomic<int> calls_{0};
+  std::atomic<int> code_{-1};
+};
 }  // namespace
 
+// Each test declares its probes before the arbiter, so the arbiter joins its
+// slot threads before any probe goes away.
+
 TEST(SlotArbiter, AcquireReleaseAccounting) {
+  Probe a, b, c, d;
   SlotArbiter arb;
   arb.AddWorker(0, 2, 1);
   EXPECT_EQ(arb.FreeSlots(0, SlotKind::kMap), 2);
   EXPECT_EQ(arb.FreeSlots(0, SlotKind::kReduce), 1);
-  ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "a").ok());
-  ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "a").ok());
+  arb.Submit(0, SlotKind::kMap, "a", nullptr, nullptr, a.Body());
+  arb.Submit(0, SlotKind::kMap, "a", nullptr, nullptr, b.Body());
+  ASSERT_TRUE(Eventually([&] { return a.Running() && b.Running(); }));
   EXPECT_EQ(arb.FreeSlots(0, SlotKind::kMap), 0);
+  EXPECT_EQ(arb.FreeSlots(0, SlotKind::kReduce), 1);
   EXPECT_EQ(arb.InUse("a"), 2);
-  arb.Release(0, SlotKind::kMap, "a");
-  EXPECT_EQ(arb.FreeSlots(0, SlotKind::kMap), 1);
-  EXPECT_EQ(arb.InUse("a"), 1);
-  arb.Release(0, SlotKind::kMap, "a");
-  EXPECT_EQ(arb.InUse("a"), 0);
-  // Unknown worker fails immediately.
-  EXPECT_EQ(arb.Acquire(9, SlotKind::kMap, "a").code(), ErrorCode::kUnavailable);
+  // Both map slots are busy: a third attempt queues and holds no slot.
+  arb.Submit(0, SlotKind::kMap, "a", nullptr, nullptr, c.Body());
+  EXPECT_EQ(arb.Waiting(), 1u);
+  EXPECT_EQ(c.calls(), 0);
+  a.Release();
+  ASSERT_TRUE(Eventually([&] { return c.Running(); }));
+  EXPECT_EQ(arb.Waiting(), 0u);
+  EXPECT_EQ(arb.InUse("a"), 2);
+  b.Release();
+  c.Release();
+  ASSERT_TRUE(Eventually([&] { return arb.InUse("a") == 0; }));
+  EXPECT_EQ(arb.FreeSlots(0, SlotKind::kMap), 2);
+  // An unknown worker refuses at once, on the submitting thread.
+  arb.Submit(9, SlotKind::kMap, "a", nullptr, nullptr, d.Body());
+  EXPECT_EQ(d.calls(), 1);
+  EXPECT_EQ(d.code(), ErrorCode::kUnavailable);
   EXPECT_EQ(arb.FreeSlots(9, SlotKind::kMap), 0);
 }
 
 TEST(SlotArbiter, ContendedSlotGoesToSmallestShare) {
   // b holds nothing, a holds two slots elsewhere: when the contended slot on
-  // worker 0 frees, max-min fairness must hand it to b, regardless of who
-  // queued first.
+  // worker 0 frees, max-min fairness must hand it to b, although a queued
+  // first.
+  Probe a1, a2, c, a, b;
   SlotArbiter arb;
   arb.AddWorker(0, 1, 0);
   arb.AddWorker(1, 2, 0);
-  ASSERT_TRUE(arb.Acquire(1, SlotKind::kMap, "a").ok());
-  ASSERT_TRUE(arb.Acquire(1, SlotKind::kMap, "a").ok());
-  ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "c").ok());  // the contended slot
-  std::atomic<int> a_state{0}, b_state{0};
-  std::thread ta([&] {
-    ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "a").ok());
-    a_state.store(1);
-  });
-  ASSERT_TRUE(Eventually([&] { return arb.Waiting() == 1; }));
-  std::thread tb([&] {
-    ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "b").ok());
-    b_state.store(1);
-  });
-  ASSERT_TRUE(Eventually([&] { return arb.Waiting() == 2; }));
+  arb.Submit(1, SlotKind::kMap, "a", nullptr, nullptr, a1.Body());
+  arb.Submit(1, SlotKind::kMap, "a", nullptr, nullptr, a2.Body());
+  arb.Submit(0, SlotKind::kMap, "c", nullptr, nullptr, c.Body());  // the contended slot
+  ASSERT_TRUE(Eventually([&] { return a1.Running() && a2.Running() && c.Running(); }));
+  arb.Submit(0, SlotKind::kMap, "a", nullptr, nullptr, a.Body());
+  arb.Submit(0, SlotKind::kMap, "b", nullptr, nullptr, b.Body());
+  EXPECT_EQ(arb.Waiting(), 2u);
 
-  arb.Release(0, SlotKind::kMap, "c");
-  ASSERT_TRUE(Eventually([&] { return b_state.load() == 1; }))
-      << "slot went to the larger-share user";
-  EXPECT_EQ(a_state.load(), 0);
-  arb.Release(0, SlotKind::kMap, "b");
-  ASSERT_TRUE(Eventually([&] { return a_state.load() == 1; }));
-  ta.join();
-  tb.join();
-  arb.Release(0, SlotKind::kMap, "a");
-  arb.Release(1, SlotKind::kMap, "a");
-  arb.Release(1, SlotKind::kMap, "a");
-  EXPECT_EQ(arb.InUse("a"), 0);
+  c.Release();
+  ASSERT_TRUE(Eventually([&] { return b.Running(); })) << "slot went to the larger-share user";
+  EXPECT_EQ(a.calls(), 0);
+  b.Release();
+  ASSERT_TRUE(Eventually([&] { return a.Running(); }));
+  for (Probe* p : {&a, &a1, &a2}) p->Release();
+  ASSERT_TRUE(Eventually([&] { return arb.InUse("a") == 0; }));
   EXPECT_EQ(arb.InUse("b"), 0);
-  EXPECT_GE(arb.ContendedGrants(), 2u);
 }
 
 TEST(SlotArbiter, WeightScalesShare) {
   // a and b each hold one slot, but b's weight is 4: b's share (1/4) is
   // smaller than a's (1/1), so the freed contended slot goes to b.
+  Probe ha, hb, c, a, b;
   SlotArbiter arb;
   arb.AddWorker(0, 1, 0);
   arb.AddWorker(1, 2, 0);
   arb.SetWeight("b", 4.0);
-  ASSERT_TRUE(arb.Acquire(1, SlotKind::kMap, "a").ok());
-  ASSERT_TRUE(arb.Acquire(1, SlotKind::kMap, "b").ok());
-  ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "c").ok());
-  std::atomic<int> winner{0};
-  std::thread ta([&] {
-    ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "a").ok());
-    int expected = 0;
-    winner.compare_exchange_strong(expected, 1);
-  });
-  ASSERT_TRUE(Eventually([&] { return arb.Waiting() == 1; }));
-  std::thread tb([&] {
-    ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "b").ok());
-    int expected = 0;
-    winner.compare_exchange_strong(expected, 2);
-  });
-  ASSERT_TRUE(Eventually([&] { return arb.Waiting() == 2; }));
-  arb.Release(0, SlotKind::kMap, "c");
-  ASSERT_TRUE(Eventually([&] { return winner.load() != 0; }));
-  EXPECT_EQ(winner.load(), 2) << "weight-4 user should win the contended slot";
-  arb.Release(0, SlotKind::kMap, "b");
-  ASSERT_TRUE(Eventually([&] { return arb.Waiting() == 0; }));
-  ta.join();
-  tb.join();
-  arb.Release(0, SlotKind::kMap, "a");
-  arb.Release(1, SlotKind::kMap, "a");
-  arb.Release(1, SlotKind::kMap, "b");
+  arb.Submit(1, SlotKind::kMap, "a", nullptr, nullptr, ha.Body());
+  arb.Submit(1, SlotKind::kMap, "b", nullptr, nullptr, hb.Body());
+  arb.Submit(0, SlotKind::kMap, "c", nullptr, nullptr, c.Body());
+  ASSERT_TRUE(Eventually([&] { return ha.Running() && hb.Running() && c.Running(); }));
+  arb.Submit(0, SlotKind::kMap, "a", nullptr, nullptr, a.Body());
+  arb.Submit(0, SlotKind::kMap, "b", nullptr, nullptr, b.Body());
+  c.Release();
+  ASSERT_TRUE(Eventually([&] { return b.Running(); }))
+      << "weight-4 user should win the contended slot";
+  EXPECT_EQ(a.calls(), 0);
+  b.Release();
+  ASSERT_TRUE(Eventually([&] { return a.Running(); }));
+  for (Probe* p : {&a, &ha, &hb}) p->Release();
+  ASSERT_TRUE(Eventually([&] { return arb.InUse("a") == 0 && arb.InUse("b") == 0; }));
 }
 
 TEST(SlotArbiter, SameUserWaitersAreFifo) {
-  SlotArbiter arb;
-  arb.AddWorker(0, 1, 0);
-  ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "u").ok());
+  Probe holder;
   std::vector<int> order;
   Mutex order_mu{Rank::kTest, "test.order_mu"};
-  std::thread t1([&] {
-    ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "u").ok());
-    MutexLock l(order_mu);
-    order.push_back(1);
-  });
-  ASSERT_TRUE(Eventually([&] { return arb.Waiting() == 1; }));
-  std::thread t2([&] {
-    ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "u").ok());
-    MutexLock l(order_mu);
-    order.push_back(2);
-  });
-  ASSERT_TRUE(Eventually([&] { return arb.Waiting() == 2; }));
-  arb.Release(0, SlotKind::kMap, "u");
-  ASSERT_TRUE(Eventually([&] {
-    MutexLock l(order_mu);
-    return order.size() == 1;
-  }));
-  arb.Release(0, SlotKind::kMap, "u");
-  ASSERT_TRUE(Eventually([&] {
-    MutexLock l(order_mu);
-    return order.size() == 2;
-  }));
-  t1.join();
-  t2.join();
-  {
-    // Scoped: Release takes SlotArbiter::mu_ (rank kSlotArbiter), which may
-    // not be acquired while the leaf-ranked test lock is held.
-    MutexLock l(order_mu);
-    EXPECT_EQ(order, (std::vector<int>{1, 2})) << "same-user grants must stay FIFO";
+  SlotArbiter arb;
+  arb.AddWorker(0, 1, 0);
+  arb.Submit(0, SlotKind::kMap, "u", nullptr, nullptr, holder.Body());
+  ASSERT_TRUE(Eventually([&] { return holder.Running(); }));
+  constexpr int kQueued = 5;
+  for (int i = 0; i < kQueued; ++i) {
+    arb.Submit(0, SlotKind::kMap, "u", nullptr, nullptr, [&order, &order_mu, i](Status s) {
+      ASSERT_TRUE(s.ok());
+      MutexLock l(order_mu);
+      order.push_back(i);
+    });
   }
-  arb.Release(0, SlotKind::kMap, "u");
+  holder.Release();
+  ASSERT_TRUE(Eventually([&] {
+    MutexLock l(order_mu);
+    return order.size() == kQueued;
+  }));
+  {
+    // Scoped: the arbiter's destructor takes SlotArbiter::mu_, which may not
+    // be acquired while the leaf-ranked test lock is held.
+    MutexLock l(order_mu);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4})) << "same-user grants must stay FIFO";
+  }
 }
 
 TEST(SlotArbiter, RemoveWorkerFailsWaitersAndAbsorbsReleases) {
+  Probe running, queued, late;
   SlotArbiter arb;
   arb.AddWorker(0, 1, 0);
-  ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "u").ok());
-  Status waiter_status;
-  std::thread t([&] { waiter_status = arb.Acquire(0, SlotKind::kMap, "u"); });
-  ASSERT_TRUE(Eventually([&] { return arb.Waiting() == 1; }));
+  arb.Submit(0, SlotKind::kMap, "u", nullptr, nullptr, running.Body());
+  ASSERT_TRUE(Eventually([&] { return running.Running(); }));
+  arb.Submit(0, SlotKind::kMap, "u", nullptr, nullptr, queued.Body());
   arb.RemoveWorker(0);
-  t.join();
-  EXPECT_EQ(waiter_status.code(), ErrorCode::kUnavailable);
-  // The held slot can still be returned; it is absorbed, not re-granted.
-  arb.Release(0, SlotKind::kMap, "u");
-  EXPECT_EQ(arb.InUse("u"), 0);
-  EXPECT_EQ(arb.Acquire(0, SlotKind::kMap, "u").code(), ErrorCode::kUnavailable);
+  // The queued entry is withdrawn on the removing thread.
+  EXPECT_EQ(queued.calls(), 1);
+  EXPECT_EQ(queued.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(arb.Waiting(), 0u);
+  EXPECT_EQ(arb.InUse("u"), 1);
+  // The running body finishes; its slot is absorbed, never granted again.
+  running.Release();
+  ASSERT_TRUE(Eventually([&] { return arb.InUse("u") == 0; }));
+  EXPECT_EQ(arb.FreeSlots(0, SlotKind::kMap), 0);
+  arb.Submit(0, SlotKind::kMap, "u", nullptr, nullptr, late.Body());
+  EXPECT_EQ(late.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(running.calls(), 1);
 }
 
 TEST(SlotArbiter, CancellationTokenAbortsWait) {
+  Probe holder, poked, at_submit, at_grant;
+  std::atomic<bool> cancel{false};
+  std::atomic<bool> late{false};
   SlotArbiter arb;
   arb.AddWorker(0, 1, 0);
-  ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "u").ok());
-  std::atomic<bool> cancel{false};
-  Status waiter_status;
-  std::thread t([&] { waiter_status = arb.Acquire(0, SlotKind::kMap, "u", &cancel); });
-  ASSERT_TRUE(Eventually([&] { return arb.Waiting() == 1; }));
+  arb.Submit(0, SlotKind::kMap, "u", nullptr, nullptr, holder.Body());
+  ASSERT_TRUE(Eventually([&] { return holder.Running(); }));
+
+  // Set while queued: Poke withdraws the entry.
+  arb.Submit(0, SlotKind::kMap, "u", &cancel, nullptr, poked.Body());
+  EXPECT_EQ(arb.Waiting(), 1u);
   cancel.store(true);
   arb.Poke();
-  t.join();
-  EXPECT_EQ(waiter_status.code(), ErrorCode::kCancelled);
-  EXPECT_EQ(arb.InUse("u"), 1) << "cancelled waiter must not be charged a slot";
-  arb.Release(0, SlotKind::kMap, "u");
+  EXPECT_EQ(poked.code(), ErrorCode::kCancelled);
+  EXPECT_EQ(arb.Waiting(), 0u);
+  EXPECT_EQ(arb.InUse("u"), 1) << "a cancelled entry must not be charged a slot";
+
+  // Set at submit: refused at once.
+  arb.Submit(0, SlotKind::kMap, "u", nullptr, &cancel, at_submit.Body());
+  EXPECT_EQ(at_submit.code(), ErrorCode::kCancelled);
+
+  // Set at grant time, without a poke: the slot thread completes it
+  // cancelled and the slot stays free.
+  arb.Submit(0, SlotKind::kMap, "u", nullptr, &late, at_grant.Body());
+  late.store(true);
+  holder.Release();
+  ASSERT_TRUE(Eventually([&] { return at_grant.calls() == 1; }));
+  EXPECT_EQ(at_grant.code(), ErrorCode::kCancelled);
+  ASSERT_TRUE(Eventually([&] { return arb.InUse("u") == 0; }));
   EXPECT_EQ(arb.FreeSlots(0, SlotKind::kMap), 1);
+  for (Probe* p : {&holder, &poked, &at_submit, &at_grant}) EXPECT_EQ(p->calls(), 1);
 }
 
-// Satellite 3: the thundering-herd fix. A release must signal exactly the
-// waiter it grants, never the whole queue — with N waiters draining through
-// one slot, a broadcast design pays ~N^2/2 wakeups, a targeted one pays N.
+// A queue that builds up behind a busy slot drains without wakeups: the
+// slot thread that finishes a body takes the next grant itself. Only the
+// first submit, to an idle worker, may signal a sleeping thread.
 TEST(SlotArbiter, BoundedWakeupsPerRelease) {
+  constexpr int kQueued = 8;
+  Probe holder;
+  std::atomic<int> done{0};
   SlotArbiter arb;
   arb.AddWorker(0, 1, 0);
-  ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "u").ok());
-  constexpr int kWaiters = 8;
-  std::atomic<int> done{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kWaiters);
-  for (int i = 0; i < kWaiters; ++i) {
-    threads.emplace_back([&] {
-      ASSERT_TRUE(arb.Acquire(0, SlotKind::kMap, "u").ok());
-      arb.Release(0, SlotKind::kMap, "u");  // cascade to the next waiter
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  ASSERT_TRUE(Eventually([&] { return arb.Waiting() == kWaiters; }));
   const std::uint64_t before = arb.WakeupSignals();
-  arb.Release(0, SlotKind::kMap, "u");
-  ASSERT_TRUE(Eventually([&] { return done.load(std::memory_order_relaxed) == kWaiters; }));
-  for (auto& t : threads) t.join();
-  const std::uint64_t signals = arb.WakeupSignals() - before;
-  // One targeted signal per grant: exactly kWaiters. (The old broadcast
-  // notified every remaining waiter on each release: 8+7+...+1 = 36.)
-  EXPECT_EQ(signals, static_cast<std::uint64_t>(kWaiters));
-}
-
-TEST(TaskExecutor, RunsTasksAndReturnsResults) {
-  TaskExecutor exec(2);
-  auto f1 = exec.Submit(0, [] { return 41 + 1; });
-  auto f2 = exec.Submit(1, [] { return std::string("done"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "done");
-  EXPECT_GE(exec.ExecutedTasks(), 2u);
-}
-
-// Satellite 4: steal correctness. Shard 0's only thread is parked inside a
-// gate task, so the 64 tasks queued behind it can *only* complete via
-// steals by the other shards' threads — and each must run exactly once.
-TEST(TaskExecutor, StolenTasksRunExactlyOnce) {
-  TaskExecutor::Options opts;
-  opts.threads_per_shard = 1;
-  TaskExecutor exec(4, opts);
-  std::atomic<bool> gate_open{false};
-  auto gate = exec.Submit(0, [&gate_open] {
-    while (!gate_open.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  constexpr int kTasks = 64;
-  std::vector<std::atomic<int>> runs(kTasks);
-  std::vector<std::future<void>> futs;
-  futs.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    futs.push_back(exec.Submit(0, [&runs, i] {
-      runs[i].fetch_add(1, std::memory_order_relaxed);
-    }));
-  }
-  for (auto& f : futs) f.get();  // completes while shard 0's thread is gated
-  EXPECT_GE(exec.StolenTasks(), 1u);
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[i].load(std::memory_order_relaxed), 1) << "task " << i;
-  }
-  gate_open.store(true, std::memory_order_release);
-  gate.get();
-}
-
-// Steal correctness under churn: concurrent submitters spraying every
-// shard while every thread runs and steals; no task may be lost or run
-// twice, and Drain must observe a fully quiesced executor.
-TEST(TaskExecutor, ChurnNeverLosesOrDoublesTasks) {
-  TaskExecutor::Options opts;
-  opts.threads_per_shard = 2;
-  TaskExecutor exec(4, opts);
-  constexpr int kSubmitters = 4;
-  constexpr int kPerSubmitter = 500;
-  std::vector<std::atomic<int>> runs(kSubmitters * kPerSubmitter);
-  std::vector<std::thread> submitters;
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&exec, &runs, s] {
-      for (int i = 0; i < kPerSubmitter; ++i) {
-        int idx = s * kPerSubmitter + i;
-        exec.Post(static_cast<std::size_t>(idx) % exec.shard_count(),
-                  [&runs, idx] { runs[idx].fetch_add(1, std::memory_order_relaxed); });
-      }
+  arb.Submit(0, SlotKind::kMap, "u", nullptr, nullptr, holder.Body());
+  ASSERT_TRUE(Eventually([&] { return holder.Running(); }));
+  for (int i = 0; i < kQueued; ++i) {
+    arb.Submit(0, SlotKind::kMap, "u", nullptr, nullptr, [&done](Status s) {
+      EXPECT_TRUE(s.ok());
+      done.fetch_add(1);
     });
   }
-  for (auto& t : submitters) t.join();
-  exec.Drain();
-  for (int i = 0; i < kSubmitters * kPerSubmitter; ++i) {
-    ASSERT_EQ(runs[i].load(std::memory_order_relaxed), 1) << "task " << i;
-  }
-  EXPECT_EQ(exec.ExecutedTasks(), static_cast<std::uint64_t>(kSubmitters * kPerSubmitter));
-}
-
-// Satellite 4: cancellation propagates through steals. The token is set
-// before the tasks are queued behind a gated shard; thieves run them all
-// (futures must always be satisfied) and every body observes the token,
-// wherever it ran.
-TEST(TaskExecutor, CancellationTokenVisibleToStolenTasks) {
-  TaskExecutor::Options opts;
-  opts.threads_per_shard = 1;
-  TaskExecutor exec(4, opts);
-  std::atomic<bool> gate_open{false};
-  auto gate = exec.Submit(0, [&gate_open] {
-    while (!gate_open.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  auto cancel = std::make_shared<std::atomic<bool>>(true);
-  constexpr int kTasks = 32;
-  std::vector<std::future<bool>> futs;
-  futs.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    futs.push_back(exec.Submit(
-        0, [cancel] { return cancel->load(std::memory_order_acquire); }, cancel));
-  }
-  int saw_cancel = 0;
-  for (auto& f : futs) saw_cancel += f.get() ? 1 : 0;
-  EXPECT_EQ(saw_cancel, kTasks) << "every stolen task must see the shared token";
-  EXPECT_EQ(exec.CancelledBeforeRun(), static_cast<std::uint64_t>(kTasks));
-  EXPECT_GE(exec.StolenTasks(), 1u);
-  gate_open.store(true, std::memory_order_release);
-  gate.get();
-}
-
-TEST(TaskExecutor, AddShardWhileBusy) {
-  TaskExecutor::Options opts;
-  opts.threads_per_shard = 1;
-  opts.max_shards = 8;
-  TaskExecutor exec(2, opts);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 200; ++i) {
-    exec.Post(static_cast<std::size_t>(i) % 2,
-              [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  std::size_t s = exec.AddShard();
-  EXPECT_EQ(s, 2u);
-  for (int i = 0; i < 100; ++i) {
-    exec.Post(s, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  exec.Drain();
-  EXPECT_EQ(ran.load(), 300);
-  EXPECT_EQ(exec.shard_count(), 3u);
+  EXPECT_EQ(arb.Waiting(), static_cast<std::size_t>(kQueued));
+  holder.Release();
+  ASSERT_TRUE(Eventually([&] { return done.load() == kQueued; }));
+  EXPECT_LE(arb.WakeupSignals() - before, 1u);
+  EXPECT_EQ(arb.Waiting(), 0u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@ Stdlib only — no third-party dependencies.
 """
 
 import argparse
+import bisect
 import json
 import sys
 
@@ -111,7 +112,8 @@ def summarize(events):
             "locality": {k: 0 for k in LOCALITIES},
             "bytes": {k: 0 for k in LOCALITIES}, "spilled": 0,
             "assigns": 0, "repartitions": 0,
-            "map_us": [], "reduce_us": [],
+            "map_us": [], "reduce_us": [], "reduce_delay_us": [],
+            "phase_begins": [], "reduce_begins": [],
         }
         for s in spans if s["ph"] == "X" and s["name"] == "job"
     ]
@@ -149,6 +151,9 @@ def summarize(events):
         elif name == "reduce_task" and s["ph"] == "X":
             j["reduces"] += 1
             j["reduce_us"].append(s["dur"])
+            j["reduce_begins"].append(s["ts"])
+        elif name == "reduce_phase" and s["ph"] == "X":
+            j["phase_begins"].append(s["ts"])
         elif name == "map_phase" and s["ph"] == "X":
             j["waves"] += 1
         elif name == "spill":
@@ -157,6 +162,15 @@ def summarize(events):
             j["assigns"] += 1
         elif name == "laf_repartition":
             j["repartitions"] += 1
+    # Reduce start delay: each reduce_task's begin minus the begin of the
+    # job's latest reduce_phase that starts at or before it. Matched after
+    # the pass, since a phase and its first task may share a timestamp.
+    for j in jobs:
+        phases = j["phase_begins"]  # ascending
+        for begin in j["reduce_begins"]:
+            k = bisect.bisect_right(phases, begin)
+            if k:
+                j["reduce_delay_us"].append(begin - phases[k - 1])
     return jobs
 
 
@@ -191,6 +205,11 @@ def render(jobs):
                 lines.append(
                     f"  {label}: p50 {quantile(vals, 0.5)} | p95 {quantile(vals, 0.95)} | "
                     f"p99 {quantile(vals, 0.99)} | max {vals[-1]} (n={len(vals)})")
+        delays = sorted(j["reduce_delay_us"])
+        if delays:
+            lines.append(
+                f"  reduce start delay us: p50 {quantile(delays, 0.5)} | "
+                f"p90 {quantile(delays, 0.9)} | max {delays[-1]} (n={len(delays)})")
         lines.append(
             f"  sched: {j['assigns']} assign(s), {j['repartitions']} LAF repartition(s)")
     return "\n".join(lines)
