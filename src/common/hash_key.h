@@ -28,6 +28,16 @@ HashKey KeyOf(std::string_view name);
 /// across servers by their hash keys, which resolves input-block skew).
 HashKey BlockKey(std::string_view file_name, std::uint64_t index);
 
+/// Hash of a byte string for in-memory hash tables (the word-count combiner,
+/// reduce grouping); it places nothing on the ring. FNV-1a, with the high
+/// half folded into the low one: a power-of-two table masks the low bits,
+/// and FNV's multiply only carries a byte's influence upward.
+inline std::uint64_t TableHash(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c : s) h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  return h ^ (h >> 32);
+}
+
 /// Half-open wrap-around interval [begin, end) on the circular keyspace.
 ///
 /// A range where begin == end is interpreted as the FULL ring if marked

@@ -773,7 +773,7 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
   // first-writer-wins corrupted the loser's reduce input. Tagged scopes stay
   // name-stable on purpose — cross-job §II-C reuse looks manifests up by tag.
   const std::string spill_scope =
-      !tag.empty() ? tag : "j" + std::to_string(job_id_) + "/" + spec_.name;
+      !tag.empty() ? tag : 'j' + std::to_string(job_id_) + '/' + spec_.name;
   const std::string manifest_id = ManifestId(spill_scope, meta_.name, block);
   const HashKey manifest_key = KeyOf(manifest_id);
 
@@ -842,7 +842,7 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
   }
 
   // Proactive shuffle: spill per-range buffers while mapping (§II-D).
-  const std::string prefix = "im/" + spill_scope + "/" + meta_.name + "/b" +
+  const std::string prefix = "im/" + spill_scope + '/' + meta_.name + "/b" +
                              std::to_string(block);
   ShuffleWriter shuffle(prefix, fs_ranges_, w.dfs(), spec_.spill_threshold,
                         spec_.intermediate_ttl, job_id_);
@@ -938,11 +938,11 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
   if (Interrupted(w, cancel, "reduce", &out.status)) return out;
 
   // Flat zero-copy grouping: decode every spill, in spill order, into one
-  // view vector (`payloads` pins the bytes, so the views stay valid),
-  // index-sort once, then walk the key runs. The scratch is per slot
-  // thread: its vectors' capacity survives across tasks, so a steady-state
-  // reduce allocates nothing while decoding and grouping (asserted by
-  // test_alloc_gate).
+  // view vector (`payloads` pins the bytes, so the views stay valid), chain
+  // the pairs by key hash, sort the distinct keys, then walk each chain.
+  // The scratch is per slot thread: its vectors' capacity survives across
+  // tasks, so a steady-state reduce allocates nothing while decoding and
+  // grouping (asserted by test_hot_alloc).
   static thread_local ReduceScratch scratch;
   scratch.Clear();
   std::uint64_t expected_pairs = 0;

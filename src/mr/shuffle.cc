@@ -104,24 +104,55 @@ std::size_t RouteToRange(const std::vector<HashKey>& sorted_begins, HashKey hk) 
   return static_cast<std::size_t>(it - sorted_begins.begin()) - 1;
 }
 
-bool ForEachGroup(std::vector<KV>& pairs,
-                  const std::function<bool(const std::string& key,
-                                           std::vector<std::string>& values)>& fn) {
-  // Stable: ties keep their input (spill) order, so the value sequences are
-  // identical to what per-key append into a std::map produced.
-  std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const KV& a, const KV& b) { return a.key < b.key; });
-  std::vector<std::string> values;
-  for (std::size_t i = 0; i < pairs.size();) {
-    std::size_t j = i + 1;
-    while (j < pairs.size() && pairs[j].key == pairs[i].key) ++j;
-    values.clear();
-    values.reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) values.push_back(std::move(pairs[k].value));
-    if (!fn(pairs[i].key, values)) return false;
-    i = j;
+ECLIPSE_HOT_PATH
+void ChainByKey(ReduceScratch& scratch) {
+  constexpr std::size_t kInitialSlots = 64;  // a power of two
+  const std::vector<KVView>& pairs = scratch.pairs;
+  std::vector<ReduceScratch::Chain>& chains = scratch.chains;
+  std::vector<std::uint32_t>& table = scratch.table;
+  const auto n = static_cast<std::uint32_t>(pairs.size());
+  scratch.next.resize(n);
+  chains.clear();
+  table.assign(kInitialSlots, 0);
+  // The table doubles once more than half its slots hold chains, so the
+  // chains never exceed half the slots plus one: push_back never reallocates.
+  chains.reserve(table.size() / 2 + 1);
+  std::size_t mask = table.size() - 1;
+  for (std::uint32_t p = 0; p < n; ++p) {
+    const std::string_view key = pairs[p].key;
+    const auto hash = static_cast<std::uint32_t>(TableHash(key));
+    scratch.next[p] = ReduceScratch::Chain::kEnd;
+    std::size_t i = hash & mask;
+    for (; table[i] != 0; i = (i + 1) & mask) {
+      ReduceScratch::Chain& chain = chains[table[i] - 1];
+      if (chain.hash == hash && pairs[chain.head].key == key) break;
+    }
+    if (table[i] != 0) {
+      ReduceScratch::Chain& chain = chains[table[i] - 1];
+      scratch.next[chain.tail] = p;
+      chain.tail = p;
+      ++chain.count;
+      continue;
+    }
+    chains.push_back({hash, p, p, 1});
+    table[i] = static_cast<std::uint32_t>(chains.size());
+    if (2 * chains.size() <= table.size()) continue;
+    // Double and rebuild from the chains: no key is compared, and the
+    // retained capacity makes this allocation-free once warm.
+    table.assign(2 * table.size(), 0);
+    mask = table.size() - 1;
+    chains.reserve(table.size() / 2 + 1);
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+      std::size_t j = chains[c].hash & mask;
+      while (table[j] != 0) j = (j + 1) & mask;
+      table[j] = static_cast<std::uint32_t>(c + 1);
+    }
   }
-  return true;
+  // Keys are distinct, so no tie needs breaking; std::sort is in place.
+  std::sort(chains.begin(), chains.end(),
+            [&pairs](const ReduceScratch::Chain& a, const ReduceScratch::Chain& b) {
+              return pairs[a.head].key < pairs[b.head].key;
+            });
 }
 
 std::string SpillId(const std::string& prefix, HashKey range_begin, std::uint64_t seq) {

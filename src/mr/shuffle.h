@@ -23,14 +23,13 @@
 // Resets the arena, so the threshold still bounds staged memory. The
 // reduce side mirrors this: DecodeSpillViews parses views over the pinned
 // spill payload and ForEachGroupViews groups them through reusable
-// ReduceScratch buffers — one index sort, no per-key node or string.
+// ReduceScratch buffers — each pair is hashed onto its key's chain, and
+// only the distinct keys are sorted; no per-key node or string.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,58 +90,55 @@ Status DecodeSpillViews(const std::string& data, std::vector<KVView>* out);
 ECLIPSE_HOT_PATH
 std::size_t RouteToRange(const std::vector<HashKey>& sorted_begins, HashKey hk);
 
-/// Sort-then-group `pairs` by key (stable: values keep their spill order)
-/// and invoke `fn(key, values)` once per distinct key in ascending key
-/// order, moving the values out of `pairs`. Returns false if `fn` returned
-/// false (early stop), true otherwise. Owning-KV variant kept for tests and
-/// tools; the reduce data path uses ForEachGroupViews.
-bool ForEachGroup(std::vector<KV>& pairs,
-                  const std::function<bool(const std::string& key,
-                                           std::vector<std::string>& values)>& fn);
-
 /// Reusable reduce-task buffers. One instance lives per slot thread
 /// (thread_local in job_runner.cc): Clear() drops contents but keeps every
 /// vector's capacity, so steady-state reduce tasks allocate nothing while
 /// grouping.
 struct ReduceScratch {
-  std::vector<KVView> pairs;          // all spills' records, as views
-  std::vector<std::uint32_t> order;   // index sort: stability without
-                                      // stable_sort's temp-buffer allocation
+  /// The pairs of one distinct key, linked through `next` in append order.
+  struct Chain {
+    static constexpr std::uint32_t kEnd = ~std::uint32_t{0};
+    std::uint32_t hash;   // low half of the key's TableHash
+    std::uint32_t head;   // first and last pair of the key
+    std::uint32_t tail;
+    std::uint32_t count;  // pairs on the chain
+  };
+  std::vector<KVView> pairs;             // all spills' records, as views
+  std::vector<std::uint32_t> next;       // per pair: the key's next pair
+  std::vector<Chain> chains;             // one per distinct key
+  std::vector<std::uint32_t> table;      // chains index + 1 by hash; 0 = free
   std::vector<std::string_view> values;  // per-group value views
   void Clear() {
     pairs.clear();
-    order.clear();
+    next.clear();
+    chains.clear();
+    table.clear();
     values.clear();
   }
 };
 
-/// Group scratch.pairs by key and call fn(key, values) per distinct key in
-/// ascending key order; value views keep their append (spill) order, which
-/// matches what the stable sort in ForEachGroup produced. Returns false on
-/// early stop. Templated on Fn so the call costs no std::function
-/// allocation; uses an index sort (std::sort is in-place; std::stable_sort
-/// allocates a merge buffer) to stay allocation-free once scratch is warm.
+/// Thread scratch.pairs onto one chain per distinct key, then sort the
+/// chains by key: the grouping half of ForEachGroupViews. The hash table
+/// (linear probing, power-of-two size, load <= 1/2) starts small on every
+/// call and doubles with the distinct keys, rebuilt from `chains`; its
+/// vectors keep their high-water capacity, so a warmed scratch allocates
+/// nothing here.
+ECLIPSE_HOT_PATH void ChainByKey(ReduceScratch& scratch);
+
+/// Group scratch.pairs by key and call fn(key, values) once per distinct
+/// key in ascending key order; value views keep their append (spill)
+/// order. Returns false if fn returned false (early stop), true otherwise.
+/// Templated on Fn so the call costs no std::function allocation.
 template <typename Fn>
 ECLIPSE_HOT_PATH bool ForEachGroupViews(ReduceScratch& scratch, Fn&& fn) {
-  const std::vector<KVView>& pairs = scratch.pairs;
-  const std::uint32_t n = static_cast<std::uint32_t>(pairs.size());
-  scratch.order.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) scratch.order[i] = i;
-  std::sort(scratch.order.begin(), scratch.order.end(),
-            [&pairs](std::uint32_t a, std::uint32_t b) {
-              if (pairs[a].key != pairs[b].key) return pairs[a].key < pairs[b].key;
-              return a < b;  // stability: ties keep append order
-            });
-  for (std::uint32_t i = 0; i < n;) {
-    std::uint32_t j = i + 1;
-    while (j < n && pairs[scratch.order[j]].key == pairs[scratch.order[i]].key) ++j;
+  ChainByKey(scratch);
+  for (const ReduceScratch::Chain& chain : scratch.chains) {
     scratch.values.clear();
-    scratch.values.reserve(j - i);
-    for (std::uint32_t k = i; k < j; ++k) {
-      scratch.values.push_back(pairs[scratch.order[k]].value);
+    scratch.values.reserve(chain.count);
+    for (std::uint32_t i = chain.head; i != ReduceScratch::Chain::kEnd; i = scratch.next[i]) {
+      scratch.values.push_back(scratch.pairs[i].value);
     }
-    if (!fn(pairs[scratch.order[i]].key, scratch.values)) return false;
-    i = j;
+    if (!fn(scratch.pairs[chain.head].key, scratch.values)) return false;
   }
   return true;
 }

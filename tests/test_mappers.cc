@@ -12,6 +12,9 @@
 #include "apps/sort.h"
 #include "apps/text_util.h"
 #include "apps/wordcount.h"
+#include "common/rng.h"
+#include "common/units.h"
+#include "workload/generators.h"
 
 namespace eclipse::apps {
 namespace {
@@ -55,6 +58,55 @@ TEST(WordCountMapper_, CombinesInMapperAndEmitsOnFinish) {
   ASSERT_EQ(ctx.emitted.size(), 1u);
   EXPECT_EQ(ctx.emitted[0].key, "z");
   EXPECT_EQ(ctx.emitted[0].value, "1");
+}
+
+// Feed `text` to `m` one line per record, Finish, and return the counts,
+// failing if any word is emitted more than once.
+std::map<std::string, std::uint64_t> CombineBlock(WordCountMapper& m, const std::string& text) {
+  FakeMapContext ctx;
+  for (const std::string& line : Split(text, '\n')) m.Map(line, ctx);
+  m.Finish(ctx);
+  std::map<std::string, std::uint64_t> counts;
+  for (const mr::KV& kv : ctx.emitted) {
+    EXPECT_TRUE(counts.emplace(kv.key, ParseU64(kv.value)).second)
+        << "word '" << kv.key << "' emitted twice by one Finish";
+  }
+  return counts;
+}
+
+TEST(WordCountMapper_, GrowsPastItsInitialTable) {
+  // 5 000 distinct words, far more than the table's initial slots: the
+  // table doubles and rehashes while the block is mapped.
+  std::string text;
+  std::map<std::string, std::uint64_t> expect;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 5000; ++i) {
+      if (i % 3 < round) continue;
+      const std::string word = 'w' + std::to_string(i);
+      text += word;
+      text += (i % 8 == 7) ? '\n' : ' ';
+      ++expect[word];
+    }
+    text += '\n';
+  }
+  WordCountMapper m;
+  EXPECT_EQ(CombineBlock(m, text), expect);
+}
+
+TEST(WordCountMapper_, MatchesSerialCountsOnZipfBlocks) {
+  Rng rng(29);
+  workload::TextOptions opts;
+  opts.target_bytes = 64_KiB;
+  opts.vocabulary = 4000;
+  // Two blocks through one instance: the second block's counts start from
+  // zero, in a table that grew during the first.
+  WordCountMapper m;
+  for (int block = 0; block < 2; ++block) {
+    const std::string text = workload::GenerateText(rng, opts);
+    const auto serial = WordCountSerial(text);
+    ASSERT_GT(serial.size(), 1000u) << "too few distinct words to grow the table";
+    EXPECT_EQ(CombineBlock(m, text), serial) << "block " << block;
+  }
 }
 
 TEST(WordCountReducer_, SumsPartials) {

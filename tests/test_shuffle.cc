@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 
 #include "dht/ring.h"
@@ -123,45 +125,114 @@ TEST(RouteToRangeTest, MatchesLinearScanOnRandomBoundaryTables) {
   }
 }
 
+using Groups = std::map<std::string, std::vector<std::string>>;
+
+// The reference grouping: values appended per key in input (spill) order,
+// keys iterated in ascending order.
+Groups MapReference(const std::vector<KV>& pairs) {
+  Groups expect;
+  for (const KV& kv : pairs) expect[kv.key].push_back(kv.value);
+  return expect;
+}
+
+// Group `pairs` as a reduce task does: Clear the scratch, decode the pairs
+// as spills of `per_spill` pairs each, in order, then ForEachGroupViews.
+// Checks the result against MapReference, and that each key is visited
+// exactly once, in ascending order.
+void ExpectGroupsLikeMap(ReduceScratch& scratch, const std::vector<KV>& pairs,
+                         std::size_t per_spill, const std::string& what) {
+  std::vector<std::string> spills;
+  for (std::size_t i = 0; i < pairs.size(); i += per_spill) {
+    const std::size_t end = std::min(pairs.size(), i + per_spill);
+    spills.push_back(EncodeSpill({pairs.begin() + i, pairs.begin() + end}));
+  }
+  scratch.Clear();
+  for (const std::string& spill : spills) {
+    ASSERT_TRUE(DecodeSpillViews(spill, &scratch.pairs).ok()) << what;
+  }
+  Groups got;
+  std::vector<std::string> key_order;
+  EXPECT_TRUE(ForEachGroupViews(
+      scratch, [&](std::string_view key, const std::vector<std::string_view>& values) {
+        key_order.emplace_back(key);
+        got[std::string(key)].assign(values.begin(), values.end());
+        return true;
+      }))
+      << what;
+  const Groups expect = MapReference(pairs);
+  EXPECT_EQ(got, expect) << what;
+  EXPECT_EQ(key_order.size(), expect.size()) << what;
+  EXPECT_TRUE(std::adjacent_find(key_order.begin(), key_order.end(),
+                                 std::greater_equal<std::string>()) == key_order.end())
+      << what << ": keys not strictly ascending";
+}
+
 TEST(ForEachGroupTest, MatchesMapGroupingIncludingValueOrder) {
   Rng rng(11);
+  // One scratch throughout, as one slot thread keeps it across tasks.
+  ReduceScratch scratch;
   for (int round = 0; round < 50; ++round) {
     std::vector<KV> pairs;
-    std::map<std::string, std::vector<std::string>> expect;
     std::size_t n = rng.Below(200);
     for (std::size_t i = 0; i < n; ++i) {
-      // Few distinct keys → long runs; values unique so order is observable.
-      KV kv{'k' + std::to_string(rng.Below(9)), 'v' + std::to_string(i)};
-      expect[kv.key].push_back(kv.value);
-      pairs.push_back(std::move(kv));
+      // Few distinct keys → long chains; values unique so order is observable.
+      pairs.push_back({'k' + std::to_string(rng.Below(9)), 'v' + std::to_string(i)});
     }
-    std::map<std::string, std::vector<std::string>> got;
-    std::vector<std::string> key_order;
-    EXPECT_TRUE(ForEachGroup(pairs, [&](const std::string& key,
-                                        std::vector<std::string>& values) {
-      key_order.push_back(key);
-      got[key] = values;
-      return true;
-    }));
-    EXPECT_EQ(got, expect) << "round " << round;
-    // Ascending distinct keys, exactly once each — the std::map iteration
-    // order the reduce path used to rely on.
-    EXPECT_TRUE(std::is_sorted(key_order.begin(), key_order.end()));
-    EXPECT_EQ(key_order.size(), expect.size());
+    ExpectGroupsLikeMap(scratch, pairs, 1 + rng.Below(64), "round " + std::to_string(round));
   }
+
+  std::vector<KV> one_key;
+  for (int i = 0; i < 1000; ++i) one_key.push_back({"only", 'v' + std::to_string(i)});
+  ExpectGroupsLikeMap(scratch, one_key, 100, "one key");
+
+  // Every chain one pair long: the sort orders every pair.
+  std::vector<KV> distinct;
+  for (int i = 5000; i > 0; --i) distinct.push_back({'k' + std::to_string(i), std::to_string(i)});
+  ExpectGroupsLikeMap(scratch, distinct, 700, "all keys distinct");
+
+  // An empty key is a key like any other, and empty values keep their place.
+  std::vector<KV> empties = {{"", ""}, {"a", ""}, {"", "x"}, {"a", "y"}, {"", ""}};
+  ExpectGroupsLikeMap(scratch, empties, 2, "empty key and values");
+
+  // 120 000 pairs over ~38 000 keys: the table doubles many times within
+  // one call.
+  std::vector<KV> many;
+  for (std::size_t i = 0; i < 120000; ++i) {
+    many.push_back({'k' + std::to_string(rng.Below(40000)), 'v' + std::to_string(i)});
+  }
+  ExpectGroupsLikeMap(scratch, many, 4096, "120 000 pairs");
+
+  // Two reduce tasks on one scratch: a small task after the large one sees
+  // none of its chains, and a large one after a small one grows again.
+  std::vector<KV> task_a, task_b;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    task_a.push_back({'k' + std::to_string(rng.Below(1500)), 'a' + std::to_string(i)});
+    task_b.push_back({'k' + std::to_string(rng.Below(7)), 'b' + std::to_string(i)});
+  }
+  ExpectGroupsLikeMap(scratch, task_a, 512, "task a");
+  ExpectGroupsLikeMap(scratch, task_b, 512, "task b after a");
+  ExpectGroupsLikeMap(scratch, task_a, 512, "task a after b");
 }
 
 TEST(ForEachGroupTest, EarlyStopReturnsFalse) {
-  std::vector<KV> pairs = {{"b", "1"}, {"a", "2"}, {"b", "3"}};
-  int calls = 0;
-  EXPECT_FALSE(ForEachGroup(pairs, [&](const std::string&, std::vector<std::string>&) {
-    ++calls;
-    return false;
-  }));
-  EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(ForEachGroup(pairs, [](const std::string&, std::vector<std::string>&) {
-    return true;
-  }));
+  const std::string spill = EncodeSpill({{"b", "1"}, {"a", "2"}, {"b", "3"}});
+  ReduceScratch scratch;
+  ASSERT_TRUE(DecodeSpillViews(spill, &scratch.pairs).ok());
+  std::vector<std::string> keys;
+  auto visit = [&](std::string_view key, const std::vector<std::string_view>&) {
+    keys.emplace_back(key);
+    return key != "a";
+  };
+  EXPECT_FALSE(ForEachGroupViews(scratch, visit));
+  EXPECT_EQ(keys, std::vector<std::string>{"a"});
+  // The scratch groups the same pairs again after an early stop.
+  keys.clear();
+  EXPECT_TRUE(ForEachGroupViews(
+      scratch, [&](std::string_view key, const std::vector<std::string_view>& values) {
+        keys.emplace_back(key);
+        return !values.empty();
+      }));
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(DecodeSpillIntoTest, AppendsAcrossSpills) {

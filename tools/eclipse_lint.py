@@ -68,6 +68,8 @@ HOT_PATH_REQUIRED = [
      "pattern": r"std::size_t\s+RouteToRange\s*\("},
     {"file": "src/mr/shuffle.h",
      "pattern": r"bool\s+ForEachGroupViews\s*\("},
+    {"file": "src/mr/shuffle.cc",
+     "pattern": r"void\s+ChainByKey\s*\("},
     {"file": "src/common/arena.h",
      "pattern": r"void\*\s+Allocate\s*\("},
     {"file": "src/common/arena.h",
