@@ -1,7 +1,7 @@
 // sort — order records by their first field (paper Fig. 6a, 8, 9; the
 // paper uses sort to stress the shuffle phase). Mappers emit (key, rest);
-// the identity reduce plus the runner's global key-sorted output collection
-// yields the fully sorted dataset.
+// the identity reduce plus the runner's merge of the key-sorted per-range
+// outputs yields the fully sorted dataset.
 #pragma once
 
 #include <string>

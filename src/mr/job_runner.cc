@@ -202,22 +202,27 @@ Status JobRunner::Execute(std::vector<KV>* output) {
   // default, §II-C), the producing maps are re-executed — their fresh
   // spills may land under the post-failure range table, so the whole reduce
   // plan is rebuilt from the authoritative spill set and retried.
+  std::vector<std::vector<KV>> runs;  // one key-sorted run per range, ascending
   for (int phase_attempt = 0; phase_attempt < kMaxAttemptsPerTask; ++phase_attempt) {
-    output->clear();
-    status = RunReducePhase(output);
+    runs.clear();
+    status = RunReducePhase(&runs);
     if (status.code() != ErrorCode::kNotFound) break;
   }
   if (JobCancelled()) return cancelled("reduce");
   if (!status.ok()) return status;
 
   {
-    obs::TraceSpan sort_span("mr", "sort", obs::kDriverPid);
-    std::stable_sort(output->begin(), output->end(),
-                     [](const KV& a, const KV& b) { return a.key < b.key; });
+    // Ranges hash-partition the keys, so the runs interleave: merge them.
+    obs::TraceSpan sort_span("mr", "sort", obs::kDriverPid, {obs::U64("job", job_id_)});
+    MergeRuns(runs, output);
   }
   if (spec_.output_file.empty()) return Status::Ok();
-  obs::TraceSpan upload_span("mr", "output_upload", obs::kDriverPid);
+  obs::TraceSpan upload_span("mr", "output_upload", obs::kDriverPid,
+                             {obs::U64("job", job_id_)});
+  std::size_t bytes = 0;
+  for (const auto& kv : *output) bytes += kv.key.size() + kv.value.size() + 2;
   std::string serialized;
+  serialized.reserve(bytes);
   for (const auto& kv : *output) {
     serialized += kv.key;
     serialized.push_back('\t');
@@ -240,8 +245,9 @@ void JobRunner::CleanupCancelledSpills() {
   std::vector<SpillInfo> doomed;
   {
     MutexLock lock(state_mu_);
-    doomed.reserve(spills_.size() + orphan_spills_.size());
-    for (const auto& [id, spill] : spills_) doomed.push_back(spill.info);
+    for (auto& [range_begin, group] : spills_) {
+      for (Spill& spill : group) doomed.push_back(std::move(spill.info));
+    }
     for (auto& info : orphan_spills_) doomed.push_back(std::move(info));
     spills_.clear();
     orphan_spills_.clear();
@@ -537,26 +543,42 @@ class JobRunner::AttemptSet {
   std::size_t live_ GUARDED_BY(mu_) = 0;  // submitted bodies not yet destroyed
 };
 
-Status JobRunner::RunReducePhase(std::vector<KV>* output) {
+Status JobRunner::RunReducePhase(std::vector<std::vector<KV>>* runs) {
   obs::TraceSpan phase_span("mr", "reduce_phase", obs::kDriverPid,
                             {obs::U64("job", job_id_)});
-  std::vector<std::vector<SpillInfo>> plan;  // one spill group per range, ascending
+  // One spill group per range, ascending. The groups stay in spills_: only
+  // the thread running Execute changes the ledger, and not while the
+  // reduces run.
+  std::vector<const std::vector<Spill>*> plan;
   {
-    std::map<HashKey, std::vector<SpillInfo>> by_range;
     MutexLock lock(state_mu_);
-    for (const auto& [id, s] : spills_) by_range[s.info.range_begin].push_back(s.info);
-    for (auto& [range_begin, group] : by_range) plan.push_back(std::move(group));
+    plan.reserve(spills_.size());
+    for (auto& [range_begin, group] : spills_) {
+      if (group.empty()) continue;
+      // Spill id order (see spills_). An id registered twice, by an input
+      // file named twice, is read once.
+      std::sort(group.begin(), group.end(),
+                [](const Spill& a, const Spill& b) { return a.info.id < b.info.id; });
+      group.erase(std::unique(group.begin(), group.end(),
+                              [](const Spill& a, const Spill& b) {
+                                return a.info.id == b.info.id;
+                              }),
+                  group.end());
+      plan.push_back(&group);
+    }
   }
 
   AttemptSet<ReduceOutcome> set(
       *this, {sched::SlotKind::kReduce, sched::PredictPhase::kReduce, "reduce"},
-      [this, &plan](std::size_t i) { return LiveOwner(cluster_, plan[i][0].range_begin); },
+      [this, &plan](std::size_t i) {
+        return LiveOwner(cluster_, (*plan[i])[0].info.range_begin);
+      },
       [this, &plan](WorkerServer& w, std::size_t i, const std::atomic<bool>& cancel) {
-        return RunReduceTask(w, plan[i], cancel);
+        return RunReduceTask(w, *plan[i], cancel);
       });
-  for (const auto& group : plan) {
+  for (const std::vector<Spill>* group : plan) {
     Bytes bytes = 0;  // summed spill payload
-    for (const auto& info : group) bytes += info.bytes;
+    for (const Spill& spill : *group) bytes += spill.info.bytes;
     set.tasks.push_back({.bytes = bytes});
   }
   const Status status = set.Run();
@@ -569,14 +591,12 @@ Status JobRunner::RunReducePhase(std::vector<KV>* output) {
   Status lost = Status::Ok();
   std::size_t lost_spills = 0;
   std::set<BlockRef> rerun;
-  {
-    MutexLock lock(state_mu_);
-    for (const auto& t : set.tasks) {
-      for (const auto& id : t.outcome.missing_spills) {
-        lost = t.outcome.status;
-        ++lost_spills;
-        if (auto it = spills_.find(id); it != spills_.end()) rerun.insert(it->second.block);
-      }
+  for (std::size_t i = 0; i < set.tasks.size(); ++i) {
+    const ReduceOutcome& outcome = set.tasks[i].outcome;
+    for (std::size_t k : outcome.missing_spills) {
+      lost = outcome.status;
+      ++lost_spills;
+      rerun.insert((*plan[i])[k].block);
     }
   }
   if (!lost.ok()) {
@@ -586,12 +606,12 @@ Status JobRunner::RunReducePhase(std::vector<KV>* output) {
     return s.ok() ? lost : s;
   }
 
+  runs->reserve(set.tasks.size());
   for (auto& t : set.tasks) {  // ascending range order: deterministic output
     ++stats_.reduce_tasks;
     stats_.ocache_hits += t.outcome.ocache_hits;
     stats_.ocache_misses += t.outcome.ocache_misses;
-    output->insert(output->end(), std::make_move_iterator(t.outcome.output.begin()),
-                   std::make_move_iterator(t.outcome.output.end()));
+    runs->push_back(std::move(t.outcome.output));
   }
   return Status::Ok();
 }
@@ -655,12 +675,15 @@ Status JobRunner::RunMapPhase(const std::vector<BlockRef>& blocks,
     if (force_recompute) {
       // Drop the block's previous (possibly manifest-derived, possibly
       // stale-range) spills: the fresh execution is authoritative.
-      std::erase_if(spills_, [&](const auto& entry) { return entry.second.block == blocks[i]; });
+      for (auto& [range_begin, group] : spills_) {
+        std::erase_if(group, [&](const Spill& spill) { return spill.block == blocks[i]; });
+      }
     }
-    for (const SpillInfo& info : outcome.spills) {
+    for (SpillInfo& info : outcome.spills) {
       stats_.bytes_spilled += info.bytes;
       ++stats_.spills;
-      spills_[info.id] = Spill{info, blocks[i]};
+      std::vector<Spill>& group = spills_[info.range_begin];
+      group.push_back(Spill{std::move(info), blocks[i]});
     }
   }
   return status;
@@ -774,8 +797,13 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
   // name-stable on purpose — cross-job §II-C reuse looks manifests up by tag.
   const std::string spill_scope =
       !tag.empty() ? tag : 'j' + std::to_string(job_id_) + '/' + spec_.name;
-  const std::string manifest_id = ManifestId(spill_scope, meta_.name, block);
-  const HashKey manifest_key = KeyOf(manifest_id);
+  // Only a tagged job keeps a manifest (§II-C); the id costs a SHA-1.
+  std::string manifest_id;
+  HashKey manifest_key = 0;
+  if (!tag.empty()) {
+    manifest_id = ManifestId(spill_scope, meta_.name, block);
+    manifest_key = KeyOf(manifest_id);
+  }
 
   // §II-C reuse: tagged intermediates let the map skip computation. The
   // cached manifest is consumed through its handle — no copy on hit.
@@ -874,7 +902,7 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
 }
 
 JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
-                                                  const std::vector<SpillInfo>& spills,
+                                                  const std::vector<Spill>& spills,
                                                   const std::atomic<bool>& cancel) {
   ReduceOutcome out;
   obs::TraceSpan task_span("mr", "reduce_task", w.id(),
@@ -898,7 +926,7 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
   for (std::size_t i = 0; i < spills.size(); ++i) {
     if (tagged) {
       if (Interrupted(w, cancel, "reduce", &out.status)) return out;
-      payloads[i] = w.CacheGet(spills[i].id, cache::EntryKind::kOutput);
+      payloads[i] = w.CacheGet(spills[i].info.id, cache::EntryKind::kOutput);
       if (payloads[i]) {
         ++out.ocache_hits;
         continue;
@@ -906,7 +934,7 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
       ++out.ocache_misses;
     }
     gather.push_back(i);
-    gather_bytes.push_back(EncodedSpillBytes(spills[i]));
+    gather_bytes.push_back(EncodedSpillBytes(spills[i].info));
   }
 
   // The range's spills all live at its owner (§II-D), so one DHT-FS call
@@ -916,13 +944,13 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
   for (std::size_t end : BatchEnds(gather_bytes, kGatherBatchBytes)) {
     if (Interrupted(w, cancel, "reduce", &out.status)) return out;
     ids.clear();
-    for (std::size_t k = begin; k < end; ++k) ids.push_back(spills[gather[k]].id);
-    auto objs = w.dfs().GetObjects(ids, spills[gather[begin]].range_begin);
+    for (std::size_t k = begin; k < end; ++k) ids.push_back(spills[gather[k]].info.id);
+    auto objs = w.dfs().GetObjects(ids, spills[gather[begin]].info.range_begin);
     for (std::size_t k = begin; k < end; ++k) {
-      const SpillInfo& spill = spills[gather[k]];
+      const SpillInfo& spill = spills[gather[k]].info;
       auto& obj = objs[k - begin];
       if (!obj.ok()) {
-        out.missing_spills.push_back(spill.id);
+        out.missing_spills.push_back(gather[k]);
         continue;
       }
       cache::CacheValue& data = payloads[gather[k]];
@@ -946,7 +974,7 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
   static thread_local ReduceScratch scratch;
   scratch.Clear();
   std::uint64_t expected_pairs = 0;
-  for (const auto& spill : spills) expected_pairs += spill.pairs;
+  for (const Spill& spill : spills) expected_pairs += spill.info.pairs;
   scratch.pairs.reserve(expected_pairs);
   for (const cache::CacheValue& data : payloads) {
     if (Status s = DecodeSpillViews(*data, &scratch.pairs); !s.ok()) {
@@ -962,7 +990,12 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
         reducer->Reduce(key, values, ctx);
         return !Interrupted(w, cancel, "reduce", &out.status);
       });
-  if (completed) out.output = std::move(ctx.output());
+  if (completed) {
+    // MergeRuns needs every run sorted; the slot thread pays for it, so the
+    // job's serial tail does not.
+    out.output = std::move(ctx.output());
+    SortRunByKey(out.output);
+  }
   return out;
 }
 

@@ -18,7 +18,9 @@
 #pragma once
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "fault/straggler.h"
 #include "mr/cluster.h"
@@ -40,8 +42,8 @@ class JobRunner {
 
  private:
   /// Run's body (Fig. 2 end to end): metadata, map phase, reduce phase,
-  /// sort, and the optional output upload. Cleans up a cancelled job's
-  /// intermediates before reporting kCancelled.
+  /// the merge of the per-range runs, and the optional output upload. Cleans
+  /// up a cancelled job's intermediates before reporting kCancelled.
   Status Execute(std::vector<KV>* output);
 
   struct MapOutcome {
@@ -58,10 +60,10 @@ class JobRunner {
 
   struct ReduceOutcome {
     Status status;
-    std::vector<KV> output;
+    std::vector<KV> output;  // sorted by key, equal keys in emission order
     std::uint64_t ocache_hits = 0;
     std::uint64_t ocache_misses = 0;
-    std::vector<std::string> missing_spills;
+    std::vector<std::size_t> missing_spills;  // indices into the task's spill group
   };
 
   /// A map task's input: (index into metas_, block index).
@@ -74,6 +76,12 @@ class JobRunner {
     bool operator==(const BlockRef&) const = default;
   };
 
+  /// A registered intermediate and the input block that produced it.
+  struct Spill {
+    SpillInfo info;
+    BlockRef block;
+  };
+
   /// Task bodies, run by the attempt driver while holding one of `w`'s
   /// slots. `cancel` is the attempt's duplicate-cancellation token: it flips
   /// once a sibling attempt wins, and the task exits kCancelled at its next
@@ -82,7 +90,7 @@ class JobRunner {
   /// overwrite each other idempotently (first-writer-wins).
   MapOutcome RunMapTask(WorkerServer& w, BlockRef ref, bool force_recompute,
                         const std::atomic<bool>& cancel);
-  ReduceOutcome RunReduceTask(WorkerServer& w, const std::vector<SpillInfo>& spills,
+  ReduceOutcome RunReduceTask(WorkerServer& w, const std::vector<Spill>& spills,
                               const std::atomic<bool>& cancel);
 
   /// True when a running attempt must stop at this record or key boundary
@@ -121,12 +129,12 @@ class JobRunner {
 
   /// One pass over the reduce plan derived from the current spill set: every
   /// range group's reduce runs at once on the range's current owner, and
-  /// outputs merge in ascending range order. Returns NotFound after
-  /// re-running producers of lost spills (caller rebuilds the plan and
-  /// retries), or the first fatal status.
-  Status RunReducePhase(std::vector<KV>* output);
+  /// `runs` gets each reduce's key-sorted output in ascending range order.
+  /// Returns NotFound after re-running producers of lost spills (caller
+  /// rebuilds the plan and retries), or the first fatal status.
+  Status RunReducePhase(std::vector<std::vector<KV>>* runs);
 
-  /// Run the map phase over `blocks`, merging spills into spills_.
+  /// Run the map phase over `blocks`, adding the winners' spills to spills_.
   /// `force_recompute` bypasses tagged-intermediate reuse — required when
   /// re-running maps whose spills died with a server. Returns first fatal
   /// status.
@@ -147,12 +155,11 @@ class JobRunner {
                           // stable across mid-job membership changes
 
   Mutex state_mu_{Rank::kJobRunnerState, "JobRunner::state_mu_"};
-  /// A registered intermediate and the input block that produced it.
-  struct Spill {
-    SpillInfo info;
-    BlockRef block;
-  };
-  std::map<std::string, Spill> spills_ GUARDED_BY(state_mu_);  // id -> spill (deduped)
+  /// Range begin -> the spills of that range: one reduce's input. A group is
+  /// sorted by spill id (and deduplicated) when a reduce plan is built, so a
+  /// reduce reads its spills in id order; reducers that sum floating-point
+  /// values depend on that order for bit-identical output.
+  std::map<HashKey, std::vector<Spill>> spills_ GUARDED_BY(state_mu_);
   /// Spills reported by failed or cancelled attempts. Not part of the reduce
   /// plan; CleanupCancelledSpills deletes them alongside spills_ so a
   /// cancelled job leaves no partial intermediates in the DHT FS. Harmless

@@ -155,6 +155,52 @@ void ChainByKey(ReduceScratch& scratch) {
             });
 }
 
+void SortRunByKey(std::vector<KV>& run) {
+  auto by_key = [](const KV& a, const KV& b) { return a.key < b.key; };
+  if (!std::is_sorted(run.begin(), run.end(), by_key)) {
+    std::stable_sort(run.begin(), run.end(), by_key);
+  }
+}
+
+void MergeRuns(std::vector<std::vector<KV>>& runs, std::vector<KV>* out) {
+  // The next pair of every unfinished run, kept ordered by (key, run). A job
+  // has a handful of ranges, so an ordered array costs fewer compares and
+  // moves than a heap.
+  struct Head {
+    std::string_view key;
+    std::size_t run;
+    std::size_t pos;
+  };
+  auto before = [](const Head& a, const Head& b) {
+    const int c = a.key.compare(b.key);
+    return c < 0 || (c == 0 && a.run < b.run);
+  };
+  std::size_t total = 0;
+  std::vector<Head> heads;
+  heads.reserve(runs.size());
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    total += runs[r].size();
+    if (!runs[r].empty()) heads.push_back({runs[r][0].key, r, 0});
+  }
+  std::sort(heads.begin(), heads.end(), before);
+  out->clear();
+  out->reserve(total);
+  while (!heads.empty()) {
+    Head& head = heads[0];
+    std::vector<KV>& run = runs[head.run];
+    out->push_back(std::move(run[head.pos]));
+    if (++head.pos == run.size()) {
+      heads.erase(heads.begin());
+      continue;
+    }
+    head.key = run[head.pos].key;
+    // The head's key only grew: slide it right past every head now before it.
+    std::size_t i = 1;
+    while (i < heads.size() && before(heads[i], head)) ++i;
+    std::rotate(heads.begin(), heads.begin() + 1, heads.begin() + i);
+  }
+}
+
 std::string SpillId(const std::string& prefix, HashKey range_begin, std::uint64_t seq) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "/r%016llx/s%" PRIu64,

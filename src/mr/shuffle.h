@@ -143,6 +143,16 @@ ECLIPSE_HOT_PATH bool ForEachGroupViews(ReduceScratch& scratch, Fn&& fn) {
   return true;
 }
 
+/// Order one reduce task's output by key, keeping equal keys in emission
+/// order. A reducer that emits in its visit order (every shipped one does)
+/// costs one is_sorted pass; any other gets a stable_sort.
+void SortRunByKey(std::vector<KV>& run);
+
+/// Merge key-sorted runs into `out` (cleared, then reserved to the total).
+/// Equal keys come from the lower run first, so `out` is exactly a stable
+/// sort of the runs' concatenation. The pairs are moved out of `runs`.
+void MergeRuns(std::vector<std::vector<KV>>& runs, std::vector<KV>* out);
+
 /// Direct-mapped memo of key → ring digest. Intermediate keys repeat
 /// heavily (Zipf words, graph vertex ids, cluster ids), and the SHA-1 ring
 /// digest is by far the most expensive per-record step in Add — one

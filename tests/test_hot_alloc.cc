@@ -33,26 +33,28 @@ std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
 // Counting replacements. Everything forwards to malloc/free so the
-// sanitizers still see every allocation; only the count is added.
-void* operator new(std::size_t n) {
+// sanitizers still see every allocation; only the count is added. Not
+// inlined: GCC 12 at -O2 and above pairs the malloc/free inside them with
+// the other side's operator and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n ? n : 1);
 }
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
   return ::operator new(n, t);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace eclipse::mr {
 namespace {

@@ -2,9 +2,11 @@
 // the serial reference implementations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <thread>
 
 #include "apps/grep.h"
@@ -12,7 +14,9 @@
 #include "apps/sort.h"
 #include "apps/text_util.h"
 #include "apps/wordcount.h"
+#include "common/hash_key.h"
 #include "mr/cluster.h"
+#include "mr/shuffle.h"
 #include "workload/generators.h"
 
 namespace eclipse::mr {
@@ -321,6 +325,18 @@ TEST(MrEngine, MultiFileInputsUnionCorrectly) {
   }
   EXPECT_EQ(result.stats.input_bytes, a.size() + b.size() + c.size());
 
+  // A file named twice is read once: both mentions produce the same spill
+  // ids, and a reduce reads each spill id once.
+  JobSpec twice = apps::WordCountJob("wc-twice", "a");
+  twice.extra_inputs = {"a"};
+  JobResult once = cluster.Run(twice);
+  ASSERT_TRUE(once.status.ok()) << once.status.ToString();
+  auto expected_a = apps::WordCountSerial(a);
+  ASSERT_EQ(once.output.size(), expected_a.size());
+  for (const auto& kv : once.output) {
+    EXPECT_EQ(kv.value, std::to_string(expected_a.at(kv.key))) << kv.key;
+  }
+
   // A missing extra input fails the whole job up front.
   JobSpec broken = apps::WordCountJob("wc-broken", "a");
   broken.extra_inputs = {"nope"};
@@ -474,6 +490,124 @@ TEST(MrEngine, MapDurationsRecordedWhenEachMapCompletes) {
                                                opts.block_size);
   ASSERT_TRUE(predicted.has_value());
   EXPECT_LT(predicted->mean_us, 50'000u);
+}
+
+/// Emits three pairs per key, out of its visit order: its reversed key twice
+/// ("first", then "second") and the shared key "#all".
+class OutOfOrderReducer : public Reducer {
+ public:
+  void Reduce(std::string_view key, const std::vector<std::string_view>&,
+              ReduceContext& ctx) override {
+    const std::string reversed(key.rbegin(), key.rend());
+    ctx.Emit(reversed, "first:" + std::string(key));
+    ctx.Emit("#all", key);
+    ctx.Emit(reversed, "second:" + std::string(key));
+  }
+};
+
+TEST(MrEngine, OutputStaysSortedAndStableWhenAReducerEmitsOutOfOrder) {
+  Cluster cluster(SmallCluster(4));
+  const std::string text = SampleText();
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  JobSpec spec = apps::WordCountJob("wc-reversed", "corpus");
+  spec.reducer = [] { return std::make_unique<OutOfOrderReducer>(); };
+  JobResult result = cluster.Run(spec);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+
+  // The contract: every reduce's emissions, concatenated in ascending range
+  // order, then stable-sorted by key. Each word's reduce runs in the range
+  // its ring key routes to, and a range's reduce visits words in order.
+  std::vector<HashKey> begins;
+  for (const auto& [server, range] : cluster.CurrentEpoch()->fs_ranges.entries()) {
+    if (!range.IsEmpty()) begins.push_back(range.begin);
+  }
+  std::sort(begins.begin(), begins.end());
+  std::vector<std::vector<std::string>> words_by_range(begins.size());
+  for (const auto& [word, count] : apps::WordCountSerial(text)) {
+    words_by_range[RouteToRange(begins, KeyOf(word))].push_back(word);
+  }
+  // "#all" ties across runs only if at least two ranges hold words.
+  ASSERT_GT(std::count_if(words_by_range.begin(), words_by_range.end(),
+                          [](const auto& words) { return !words.empty(); }),
+            1);
+  std::vector<KV> expected;
+  for (auto& words : words_by_range) {
+    std::sort(words.begin(), words.end());
+    for (const std::string& word : words) {
+      const std::string reversed(word.rbegin(), word.rend());
+      expected.push_back({reversed, "first:" + word});
+      expected.push_back({"#all", word});
+      expected.push_back({reversed, "second:" + word});
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const KV& a, const KV& b) { return a.key < b.key; });
+  EXPECT_EQ(result.output, expected);
+}
+
+/// Joins a key's values in the order they reach the reducer.
+class JoinReducer : public Reducer {
+ public:
+  void Reduce(std::string_view key, const std::vector<std::string_view>& values,
+              ReduceContext& ctx) override {
+    std::string joined;
+    for (std::string_view v : values) {
+      if (!joined.empty()) joined += ',';
+      joined += v;
+    }
+    ctx.Emit(key, joined);
+  }
+};
+
+TEST(MrEngine, ReduceReadsItsSpillsInSpillIdOrder) {
+  // A reduce reads its range's spills in ascending spill id, and a spill id
+  // names its block in decimal ("…/b10/…" sorts before "…/b2/…"). Reducers
+  // that sum doubles in arrival order depend on that order, so it is pinned
+  // here over more than ten blocks, where it differs from block order.
+  ClusterOptions opts = SmallCluster(4);
+  Cluster cluster(opts);
+  Rng rng(5);
+  std::string text;
+  std::map<std::uint64_t, std::vector<std::pair<std::string, std::string>>> by_block;
+  for (int i = 0; i < 400; ++i) {
+    // A record belongs to the block holding its first byte.
+    const std::uint64_t block = text.size() / opts.block_size;
+    std::string key = 'k' + std::to_string(rng.Below(4));
+    std::string value = 'v' + std::to_string(i);
+    text += key + ' ' + value + '\n';
+    by_block[block].emplace_back(std::move(key), std::move(value));
+  }
+  ASSERT_GE(by_block.size(), 11u);
+  ASSERT_TRUE(cluster.dfs().Upload("records", text).ok());
+
+  JobSpec spec = apps::SortJob("join", "records");
+  spec.reducer = [] { return std::make_unique<JoinReducer>(); };
+  JobResult result = cluster.Run(spec);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+
+  std::vector<std::uint64_t> id_order;
+  for (const auto& [block, records] : by_block) id_order.push_back(block);
+  std::sort(id_order.begin(), id_order.end(), [](std::uint64_t a, std::uint64_t b) {
+    return std::to_string(a) < std::to_string(b);
+  });
+  auto join_in = [&](const std::vector<std::uint64_t>& blocks) {
+    std::map<std::string, std::string> joined;
+    for (std::uint64_t block : blocks) {
+      for (const auto& [key, value] : by_block.at(block)) {
+        std::string& j = joined[key];
+        if (!j.empty()) j += ',';
+        j += value;
+      }
+    }
+    return joined;
+  };
+  const std::map<std::string, std::string> expected = join_in(id_order);
+  std::vector<std::uint64_t> block_order;
+  for (const auto& [block, records] : by_block) block_order.push_back(block);
+  ASSERT_NE(expected, join_in(block_order)) << "spill-id order must differ from block order";
+
+  ASSERT_EQ(result.output.size(), expected.size());
+  for (const auto& kv : result.output) EXPECT_EQ(kv.value, expected.at(kv.key)) << kv.key;
 }
 
 TEST(MrEngine, StatsReportWallTimeAndInputBytes) {

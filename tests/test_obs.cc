@@ -8,7 +8,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -178,7 +180,9 @@ TEST(TraceCaptureTest, WordcountTimelineValidatesAndSummarizes) {
     topts.target_bytes = 8000;
     std::string text = workload::GenerateText(rng, topts);
     ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
-    auto result = cluster.Run(apps::WordCountJob("wc-traced", "corpus"));
+    mr::JobSpec spec = apps::WordCountJob("wc-traced", "corpus");
+    spec.output_file = "wc-traced.out";
+    auto result = cluster.Run(spec);
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
 
     // Export before the cluster (and its worker thread pools) is destroyed:
@@ -188,6 +192,22 @@ TEST(TraceCaptureTest, WordcountTimelineValidatesAndSummarizes) {
     auto valid = obs::ValidateChromeTrace(json);
     EXPECT_TRUE(valid.ok()) << valid.ToString();
     EXPECT_EQ(tracer.overwritten_chunks(), 0u);
+
+    // Every span on the job's own track names its job (job, map_phase,
+    // reduce_phase, sort, output_upload): spans are attributed by that arg,
+    // not by timestamp.
+    std::set<std::string> job_track_spans;
+    for (const obs::TraceEvent& ev : tracer.Snapshot()) {
+      if (ev.phase != 'B' || ev.pid != obs::kDriverPid) continue;
+      job_track_spans.insert(ev.name);
+      bool has_job = false;
+      for (std::size_t a = 0; a < ev.nargs; ++a) {
+        has_job |= std::string_view(ev.args[a].key) == "job" && ev.args[a].uval == result.job_id;
+      }
+      EXPECT_TRUE(has_job) << ev.name << " span lacks the job arg";
+    }
+    EXPECT_EQ(job_track_spans, (std::set<std::string>{"job", "map_phase", "reduce_phase",
+                                                      "sort", "output_upload"}));
 
     auto jobs = obs::Summarize(tracer.Snapshot());
     ASSERT_EQ(jobs.size(), 1u);

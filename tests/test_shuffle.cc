@@ -235,6 +235,76 @@ TEST(ForEachGroupTest, EarlyStopReturnsFalse) {
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
 }
 
+/// The output contract MergeRuns must meet: the runs concatenated in order,
+/// then stable-sorted by key.
+std::vector<KV> StableSortedConcat(const std::vector<std::vector<KV>>& runs) {
+  std::vector<KV> all;
+  for (const auto& run : runs) all.insert(all.end(), run.begin(), run.end());
+  std::stable_sort(all.begin(), all.end(),
+                   [](const KV& a, const KV& b) { return a.key < b.key; });
+  return all;
+}
+
+TEST(MergeRunsTest, EqualKeysComeFromTheLowerRunFirst) {
+  std::vector<std::vector<KV>> runs = {
+      {{"a", "r0"}, {"b", "r0"}},
+      {{"a", "r1"}, {"c", "r1"}},
+      {{"a", "r2"}, {"b", "r2"}, {"c", "r2"}},
+  };
+  std::vector<KV> out;
+  MergeRuns(runs, &out);
+  EXPECT_EQ(out, (std::vector<KV>{{"a", "r0"}, {"a", "r1"}, {"a", "r2"}, {"b", "r0"},
+                                  {"b", "r2"}, {"c", "r1"}, {"c", "r2"}}));
+}
+
+TEST(MergeRunsTest, EqualKeysInsideARunKeepTheirOrder) {
+  std::vector<KV> run = {{"k", "3"}, {"b", "1"}, {"k", "1"}, {"b", "2"}, {"k", "2"}};
+  SortRunByKey(run);
+  EXPECT_EQ(run, (std::vector<KV>{{"b", "1"}, {"b", "2"}, {"k", "3"}, {"k", "1"}, {"k", "2"}}));
+  std::vector<std::vector<KV>> runs = {{{"a", "x"}}, run, {{"k", "0"}}};
+  std::vector<KV> out;
+  MergeRuns(runs, &out);
+  EXPECT_EQ(out, (std::vector<KV>{{"a", "x"}, {"b", "1"}, {"b", "2"}, {"k", "3"},
+                                  {"k", "1"}, {"k", "2"}, {"k", "0"}}));
+}
+
+TEST(MergeRunsTest, EmptyRunsAndASingleRun) {
+  std::vector<KV> out = {{"stale", "pair"}};
+  std::vector<std::vector<KV>> none;
+  MergeRuns(none, &out);
+  EXPECT_TRUE(out.empty());
+
+  std::vector<std::vector<KV>> empties(3);
+  MergeRuns(empties, &out);
+  EXPECT_TRUE(out.empty());
+
+  const std::vector<KV> single = {{"a", "1"}, {"a", "2"}, {"b", ""}, {"c", "3"}};
+  std::vector<std::vector<KV>> one = {{}, single, {}};
+  MergeRuns(one, &out);
+  EXPECT_EQ(out, single);
+}
+
+TEST(MergeRunsTest, MatchesStableSortOfTheConcatenation) {
+  Rng rng(21);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::vector<KV>> runs(rng.Below(12));
+    std::size_t tag = 0;
+    for (auto& run : runs) {
+      const std::size_t n = rng.Below(4) == 0 ? 0 : rng.Below(60);
+      // Few keys, so ties across and inside runs are common; unique values
+      // make any reordering of equal keys visible.
+      for (std::size_t i = 0; i < n; ++i) {
+        run.push_back({'k' + std::to_string(rng.Below(20)), std::to_string(tag++)});
+      }
+    }
+    const std::vector<KV> expected = StableSortedConcat(runs);
+    for (auto& run : runs) SortRunByKey(run);
+    std::vector<KV> out;
+    MergeRuns(runs, &out);
+    ASSERT_EQ(out, expected) << "round " << round;
+  }
+}
+
 TEST(DecodeSpillIntoTest, AppendsAcrossSpills) {
   std::vector<KV> a = {{"k1", "v1"}, {"k2", "v2"}};
   std::vector<KV> b = {{"k3", "v3"}};
