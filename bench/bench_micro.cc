@@ -1,7 +1,13 @@
 // Component micro-benchmarks (google-benchmark): the primitive costs behind
-// the paper's "the LAF scheduling algorithm is very lightweight" claim and
-// the DHT routing-table lookup overhead discussion (§II-A/E).
+// the paper's "the LAF scheduling algorithm is very lightweight" claim, the
+// DHT routing-table lookup overhead discussion (§II-A/E), and a job's data
+// path per block and per record (cache hit, shuffle add, spill codec).
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "cache/lru_cache.h"
 #include "common/rng.h"
@@ -10,6 +16,8 @@
 #include "dht/ring.h"
 #include "sched/cdf_partition.h"
 #include "sched/key_histogram.h"
+#include "dfs/dfs_client.h"
+#include "dfs/dfs_node.h"
 #include "dfs/metadata.h"
 #include "mr/record_reader.h"
 #include "mr/shuffle.h"
@@ -114,18 +122,72 @@ static void BM_RecordExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordExtraction);
 
+// The spill codec as the engine runs it: a map task encodes into a reused
+// writer, a reduce task decodes views into reused scratch.
 static void BM_SpillEncodeDecode(benchmark::State& state) {
   std::vector<mr::KV> pairs;
   for (int i = 0; i < 1000; ++i) {
     pairs.push_back(mr::KV{"key-" + std::to_string(i % 50), "value-" + std::to_string(i)});
   }
+  std::vector<mr::KVView> views;
+  for (const auto& kv : pairs) views.push_back({kv.key, kv.value});
+  BinaryWriter w;
+  std::vector<mr::KVView> back;
   for (auto _ : state) {
-    std::string data = mr::EncodeSpill(pairs);
-    auto back = mr::DecodeSpill(data);
-    benchmark::DoNotOptimize(back);
+    mr::EncodeSpillTo(views, w);
+    back.clear();
+    if (!mr::DecodeSpillViews(w.str(), &back).ok()) {
+      state.SkipWithError("DecodeSpillViews failed");
+      break;
+    }
+    benchmark::DoNotOptimize(back.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_SpillEncodeDecode);
+
+// ShuffleWriter::Add per record (route to a range, copy into its buffer) at
+// 8 and 64 hash-key ranges. The spill threshold lies above a batch, so no
+// spill runs; each iteration adds one batch to a fresh writer, and
+// items_per_second is records per second.
+static void BM_ShuffleAdd(benchmark::State& state) {
+  const int servers = static_cast<int>(state.range(0));
+  net::InProcessTransport transport;
+  dht::Ring ring;
+  std::vector<std::unique_ptr<net::Dispatcher>> dispatchers;
+  std::vector<std::unique_ptr<dfs::DfsNode>> nodes;
+  for (int i = 0; i < servers; ++i) {
+    ring.AddServer(i);
+    dispatchers.push_back(std::make_unique<net::Dispatcher>());
+    nodes.push_back(std::make_unique<dfs::DfsNode>(i, *dispatchers.back()));
+    transport.Register(i, dispatchers.back()->AsHandler());
+  }
+  dfs::DfsClient client(1000, transport,
+                        [&ring] { return std::make_shared<const dht::Ring>(ring); });
+  const RangeTable ranges = ring.MakeRangeTable();
+  std::vector<mr::KV> input;
+  for (int i = 0; i < 65536; ++i) {
+    input.push_back(mr::KV{"key-" + std::to_string(i % 4096), 'v' + std::to_string(i)});
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto w = std::make_unique<mr::ShuffleWriter>("im/bench/b0", ranges, client, 1_GiB,
+                                                 std::chrono::milliseconds(0));
+    state.ResumeTiming();
+    for (const auto& kv : input) {
+      if (!w->Add(kv.key, kv.value).ok()) {
+        state.SkipWithError("ShuffleWriter::Add failed");
+        break;
+      }
+    }
+    state.PauseTiming();
+    w.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(input.size()));
+}
+BENCHMARK(BM_ShuffleAdd)->Arg(8)->Arg(64);
 
 static void BM_InProcessCall(benchmark::State& state) {
   net::InProcessTransport transport;
@@ -148,6 +210,23 @@ static void BM_TcpLoopbackCall(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TcpLoopbackCall)->Arg(64)->Arg(65536);
+
+// A warm map task's memory-locality read (§II-C): LruCache::Get of a
+// resident 1 MiB block. A hit hands out a shared handle to the block, so
+// its cost must not grow with the block size.
+static void BM_CacheGetHit1MiB(benchmark::State& state) {
+  cache::LruCache c(64_MiB);
+  c.Put("blk", 1, std::string(1_MiB, 'd'), cache::EntryKind::kInput);
+  for (auto _ : state) {
+    cache::CacheValue v = c.Get("blk", cache::EntryKind::kInput);
+    if (!v) {
+      state.SkipWithError("LruCache::Get missed a resident block");
+      break;
+    }
+    benchmark::DoNotOptimize(v);
+  }
+}
+BENCHMARK(BM_CacheGetHit1MiB);
 
 static void BM_LruPutGet(benchmark::State& state) {
   cache::LruCache c(64_MiB);

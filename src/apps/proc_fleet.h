@@ -2,8 +2,8 @@
 // multi-process deployment without depending on the eclipse-worker binary's
 // install path.
 //
-// The pattern (used by examples/chaos_wordcount, examples/multi_tenant and
-// bench/bench_macro_datapath for their --procs / saturation modes):
+// The pattern (used by examples/chaos_wordcount and examples/multi_tenant
+// for their --procs modes, and by perfbench's tenants_procs workload):
 //
 //   int main(int argc, char** argv) {
 //     apps::MaybeRunFleetWorker(argc, argv);   // child re-exec lands here

@@ -9,7 +9,6 @@
 #include "common/log.h"
 #include "fault/fault_plan.h"
 #include "fault/fault_transport.h"
-#include "net/tcp_transport.h"
 #include "obs/trace.h"
 
 namespace eclipse::mr {
@@ -38,17 +37,8 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
       assert(ids[i] == static_cast<int>(i) && "non-contiguous deployment worker ids");
     }
   } else {
-    transport_label = options_.use_tcp_transport ? "tcp" : "inproc";
-    if (options_.use_tcp_transport) {
-      auto tcp = std::make_unique<net::TcpTransport>();
-      // Owned transport: the socket internals can live in the cluster
-      // registry directly (metrics_ is declared before transport_, so it
-      // outlives the server threads that bump these).
-      tcp->BindTransportMetrics(metrics_, transport_label);
-      transport_ = std::move(tcp);
-    } else {
-      transport_ = std::make_unique<net::InProcessTransport>();
-    }
+    transport_label = "inproc";
+    transport_ = std::make_unique<net::InProcessTransport>();
     transport_raw_ = transport_.get();
   }
   assert(options_.num_servers > 0);

@@ -73,17 +73,6 @@ struct ClusterOptions {
   bool start_membership = false;
   dht::MembershipConfig membership{};
 
-  /// After each job, migrate cache entries that a LAF re-partition left on
-  /// the wrong server to the new range owner (§II-E option; the paper
-  /// disabled it in its experiments, so the default is off).
-  bool migrate_misplaced_cache = false;
-
-  /// Run the whole data plane over loopback TCP instead of in-process
-  /// dispatch: every block read, metadata lookup, heartbeat, and
-  /// intermediate-result push crosses real sockets. Slower; proves the node
-  /// code is wire-agnostic.
-  bool use_tcp_transport = false;
-
   /// Multi-process deployment (docs/deployment.md): worker data planes are
   /// separate eclipse-worker processes already bootstrapped by this
   /// coordinator. The cluster borrows the coordinator's TCP transport,
@@ -191,7 +180,9 @@ class Cluster {
   /// failure recovery"). Returns the new server's id.
   int AddServer(dfs::RecoveryReport* report = nullptr);
 
-  /// §II-E migration option, also callable directly by tests.
+  /// §II-E option: move cache entries that a LAF re-partition left on the
+  /// wrong server to the new range owner. No job runs it (the paper disabled
+  /// it in its experiments); bench_ablation and tests call it directly.
   std::size_t MigrateMisplacedCache();
 
   /// Cache statistics summed over live workers.
@@ -251,9 +242,8 @@ class Cluster {
   // All three are held only for brief state reads/copies; no transport call,
   // scheduler decision, or recovery pass runs under any of them.
   ClusterOptions options_;
-  // Declared before transport_ so it outlives it: an owned TcpTransport's
-  // acceptor and connection threads account into counters here until the
-  // transport's own destructor joins them.
+  // Declared before transport_ so it outlives it: the owned transport
+  // accounts its calls into counters here until its own destructor runs.
   MetricsRegistry metrics_;
   // Owned transport (in-process mode, and the fault wrapper in every mode);
   // null when the deployment coordinator's transport is borrowed bare.

@@ -10,19 +10,6 @@
 
 namespace eclipse::mr {
 
-std::string EncodeSpill(const std::vector<KV>& pairs) {
-  std::size_t bytes = 4;
-  for (const auto& kv : pairs) bytes += 8 + kv.key.size() + kv.value.size();
-  BinaryWriter w;
-  w.Reserve(bytes);
-  w.PutU32(static_cast<std::uint32_t>(pairs.size()));
-  for (const auto& kv : pairs) {
-    w.PutString(kv.key);
-    w.PutString(kv.value);
-  }
-  return w.Take();
-}
-
 void EncodeSpillTo(const std::vector<KVView>& pairs, BinaryWriter& w) {
   w.Clear();
   std::size_t bytes = 4;
@@ -53,6 +40,8 @@ Status DecodeSpillViews(const std::string& data, std::vector<KVView>* out) {
   BinaryReader r(data);
   std::uint32_t n = 0;
   if (!r.GetU32(&n)) return Status::Error(ErrorCode::kCorruption, "truncated spill");
+  // Every entry needs at least two length prefixes: a corrupted count can
+  // not force an allocation larger than the payload could possibly hold.
   if (static_cast<std::size_t>(n) > r.remaining() / 8 + 1) {
     return Status::Error(ErrorCode::kCorruption, "implausible spill entry count");
   }
@@ -65,32 +54,6 @@ Status DecodeSpillViews(const std::string& data, std::vector<KVView>* out) {
     out->push_back(kv);
   }
   return Status::Ok();
-}
-
-Status DecodeSpillInto(const std::string& data, std::vector<KV>* out) {
-  BinaryReader r(data);
-  std::uint32_t n = 0;
-  if (!r.GetU32(&n)) return Status::Error(ErrorCode::kCorruption, "truncated spill");
-  // Every entry needs at least two length prefixes: a corrupted count can
-  // not force an allocation larger than the payload could possibly hold.
-  if (static_cast<std::size_t>(n) > r.remaining() / 8 + 1) {
-    return Status::Error(ErrorCode::kCorruption, "implausible spill entry count");
-  }
-  out->reserve(out->size() + n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    KV kv;
-    if (!r.GetString(&kv.key) || !r.GetString(&kv.value)) {
-      return Status::Error(ErrorCode::kCorruption, "truncated spill entry");
-    }
-    out->push_back(std::move(kv));
-  }
-  return Status::Ok();
-}
-
-Result<std::vector<KV>> DecodeSpill(const std::string& data) {
-  std::vector<KV> out;
-  if (Status s = DecodeSpillInto(data, &out); !s.ok()) return s;
-  return out;
 }
 
 ECLIPSE_HOT_PATH

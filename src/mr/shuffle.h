@@ -63,24 +63,17 @@ inline Bytes EncodedSpillBytes(const SpillInfo& spill) {
 /// gathers each batch of its spills in one DHT-FS call.
 std::vector<std::size_t> BatchEnds(const std::vector<Bytes>& sizes, Bytes cap);
 
-/// Serialize / parse one spill's KV payload.
-std::string EncodeSpill(const std::vector<KV>& pairs);
-Result<std::vector<KV>> DecodeSpill(const std::string& data);
-
-/// Encode `pairs` into `w` (cleared first). The writer keeps its backing
-/// buffer, so a pooled writer encodes every spill of a task through one
-/// warmed allocation.
+/// Encode one spill's KV payload into `w` (cleared first). The writer keeps
+/// its backing buffer, so a pooled writer encodes every spill of a task
+/// through one warmed allocation.
 void EncodeSpillTo(const std::vector<KVView>& pairs, BinaryWriter& w);
 
-/// Append-decoding variant: parses into `*out` (reserving ahead) so a
-/// reducer can accumulate many spills into one flat vector without
-/// per-spill intermediate allocations. On error `*out` may hold a partial
-/// tail; callers treat the whole decode as failed.
-Status DecodeSpillInto(const std::string& data, std::vector<KV>* out);
-
-/// Zero-copy decode: appended views alias `data`, which must stay alive —
-/// and unmoved — while the views are used (the reduce path pins each spill
-/// payload through its cache handle for exactly this reason).
+/// Zero-copy decode of one spill's KV payload: the views are appended to
+/// `*out` (reserving ahead), so a reduce accumulates all its spills in one
+/// flat vector. They alias `data`, which must stay alive — and unmoved —
+/// while the views are used (the reduce path pins each spill payload
+/// through its cache handle for exactly this reason). On error `*out` may
+/// hold a partial tail; callers treat the whole decode as failed.
 Status DecodeSpillViews(const std::string& data, std::vector<KVView>* out);
 
 /// Index into `sorted_begins` (ascending range-begin boundaries of a set of

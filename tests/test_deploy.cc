@@ -3,7 +3,8 @@
 // Covers the bootstrap wire protocol (serde round trips, version/magic
 // rejection), the coordinator/worker handshake state machines run
 // in-process over real loopback TCP, a Cluster formed over deployment-mode
-// workers producing output bit-identical to the in-process emulation, and —
+// workers producing output bit-identical to the in-process emulation and
+// recovering from a killed worker, and —
 // the real thing — eclipse-coordinator and eclipse-worker spawned as
 // subprocesses running wordcount, with the printed output fingerprint
 // checked against an in-process run of the same corpus.
@@ -21,6 +22,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -287,6 +289,58 @@ TEST(Deploy, ClusterOverDeploymentMatchesInProcessOutput) {
   EXPECT_EQ(deployed.output, reference.output);
   EXPECT_EQ(apps::OutputFingerprint(deployed.output),
             apps::OutputFingerprint(reference.output));
+}
+
+// Crash recovery over sockets: one of five workers is killed after an
+// upload. Every block survives on its replicas, the file reads back, and a
+// word count on the four survivors is still correct.
+TEST(Deploy, CrashRecoveryOverWorkerHosts) {
+  mr::DeploymentOptions dopts;
+  dopts.heartbeat_interval_ms = 100;
+  auto coordinator = std::make_shared<mr::DeploymentCoordinator>(dopts);
+  ASSERT_GT(coordinator->bootstrap_port(), 0);
+
+  mr::WorkerHostOptions wopts;
+  wopts.coordinator_port = coordinator->bootstrap_port();
+  wopts.heartbeat_interval_ms = 100;
+  std::vector<std::unique_ptr<mr::WorkerHost>> hosts;
+  for (int i = 0; i < 5; ++i) {
+    hosts.push_back(std::make_unique<mr::WorkerHost>(wopts));
+    ASSERT_TRUE(hosts.back()->Start()) << hosts.back()->error();
+  }
+  ASSERT_TRUE(coordinator->WaitForWorkers(5, 5000));
+
+  Rng rng(33);
+  workload::TextOptions topts;
+  topts.target_bytes = 3000;
+  const std::string text = workload::GenerateText(rng, topts);
+  {
+    mr::ClusterOptions copts;
+    copts.deployment = coordinator;
+    copts.block_size = 512;
+    mr::Cluster cluster(copts);
+    ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+
+    constexpr int kVictim = 2;
+    ASSERT_EQ(cluster.KillServer(kVictim).blocks_lost, 0u);
+    // The worker's process is gone too: no read can reach its blocks.
+    for (auto& host : hosts) {
+      if (host->node() == kVictim) host.reset();
+    }
+
+    auto back = cluster.dfs().ReadFile("corpus");
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back.value(), text);
+
+    mr::JobResult result = cluster.Run(apps::WordCountJob("wc", "corpus"));
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    const auto expected = apps::WordCountSerial(text);
+    ASSERT_EQ(result.output.size(), expected.size());
+    for (const auto& kv : result.output) {
+      EXPECT_EQ(kv.value, std::to_string(expected.at(kv.key))) << kv.key;
+    }
+  }
+  coordinator->ShutdownAll();
 }
 
 // ---------------------------------------------------------------------------

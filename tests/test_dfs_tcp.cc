@@ -7,10 +7,8 @@
 
 #include "common/rng.h"
 #include "dfs/dfs_client.h"
-#include "apps/wordcount.h"
-#include "mr/cluster.h"
+#include "dfs/dfs_node.h"
 #include "net/tcp_transport.h"
-#include "workload/generators.h"
 
 namespace eclipse::dfs {
 namespace {
@@ -80,56 +78,3 @@ TEST_F(DfsOverTcpTest, CrashedServerFallsBackToReplicas) {
 
 }  // namespace
 }  // namespace eclipse::dfs
-
-namespace eclipse::mr {
-namespace {
-
-// The ENTIRE MapReduce engine over real sockets: word count end-to-end with
-// every data-plane byte (metadata, blocks, spills, reduces) crossing
-// loopback TCP.
-TEST(ClusterOverTcp, WordCountEndToEnd) {
-  ClusterOptions opts;
-  opts.num_servers = 4;
-  opts.block_size = 512;
-  opts.cache_capacity = 1_MiB;
-  opts.use_tcp_transport = true;
-  Cluster cluster(opts);
-
-  Rng rng(31);
-  workload::TextOptions topts;
-  topts.target_bytes = 4000;
-  topts.vocabulary = 30;
-  std::string text = workload::GenerateText(rng, topts);
-  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
-
-  JobResult result = cluster.Run(apps::WordCountJob("wc-tcp", "corpus"));
-  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  auto expected = apps::WordCountSerial(text);
-  ASSERT_EQ(result.output.size(), expected.size());
-  for (const auto& kv : result.output) {
-    EXPECT_EQ(kv.value, std::to_string(expected.at(kv.key))) << kv.key;
-  }
-}
-
-TEST(ClusterOverTcp, CrashRecoveryOverSockets) {
-  ClusterOptions opts;
-  opts.num_servers = 5;
-  opts.block_size = 512;
-  opts.use_tcp_transport = true;
-  Cluster cluster(opts);
-
-  Rng rng(33);
-  workload::TextOptions topts;
-  topts.target_bytes = 3000;
-  std::string text = workload::GenerateText(rng, topts);
-  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
-
-  ASSERT_EQ(cluster.KillServer(2).blocks_lost, 0u);
-  auto back = cluster.dfs().ReadFile("corpus");
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), text);
-  ASSERT_TRUE(cluster.Run(apps::WordCountJob("wc", "corpus")).status.ok());
-}
-
-}  // namespace
-}  // namespace eclipse::mr

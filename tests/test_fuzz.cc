@@ -5,8 +5,12 @@
 //  * RangeTable stays total under randomized LAF repartition sequences.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <list>
 #include <map>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "cache/lru_cache.h"
 #include "common/rng.h"
@@ -25,16 +29,57 @@ std::string RandomBytes(Rng& rng, std::size_t n) {
   return s;
 }
 
+// The decoder every reduce task runs on the spills it fetched.
 TEST(Fuzz, SpillDecoderSurvivesGarbage) {
   Rng rng(1);
-  for (int i = 0; i < 2000; ++i) {
-    auto data = RandomBytes(rng, rng.Below(200));
-    auto result = mr::DecodeSpill(data);  // must not crash; ok() only if valid
-    if (result.ok()) {
-      // If it decoded, re-encoding must reproduce a prefix-consistent size.
-      EXPECT_LE(mr::EncodeSpill(result.value()).size(), data.size() + 4);
+  std::vector<mr::KVView> views;
+  BinaryWriter w;
+  int decoded = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string data;
+    if (i % 2 == 0) {
+      data = RandomBytes(rng, rng.Below(200));
+      // A random entry count is almost always implausible; give half the
+      // inputs a small one, so the decoder walks into the entries.
+      if (data.size() >= 4 && rng.Below(2) == 0) {
+        w.Clear();
+        w.PutU32(static_cast<std::uint32_t>(rng.Below(8)));
+        data.replace(0, 4, w.str());
+      }
+    } else {
+      // A valid spill with a few bytes overwritten, and half the time cut short.
+      std::vector<std::string> strings;
+      for (std::uint64_t n = rng.Below(6) * 2; n > 0; --n) {
+        strings.push_back(RandomBytes(rng, rng.Below(12)));
+      }
+      std::vector<mr::KVView> pairs;
+      for (std::size_t k = 0; k < strings.size(); k += 2) {
+        pairs.push_back({strings[k], strings[k + 1]});
+      }
+      mr::EncodeSpillTo(pairs, w);
+      data = w.str();
+      for (std::uint64_t n = rng.Below(4); n > 0; --n) {
+        data[rng.Below(data.size())] = static_cast<char>(rng.Next() & 0xFF);
+      }
+      if (rng.Below(2) == 0) data.resize(rng.Below(data.size() + 1));
     }
+
+    views.clear();
+    if (!mr::DecodeSpillViews(data, &views).ok()) continue;  // must not crash
+    ++decoded;
+    const auto begin = reinterpret_cast<std::uintptr_t>(data.data());
+    auto inside = [&](std::string_view v) {
+      const auto p = reinterpret_cast<std::uintptr_t>(v.data());
+      return p >= begin && p + v.size() <= begin + data.size();
+    };
+    for (const mr::KVView& kv : views) {
+      EXPECT_TRUE(inside(kv.key)) << "input " << i;
+      EXPECT_TRUE(inside(kv.value)) << "input " << i;
+    }
+    mr::EncodeSpillTo(views, w);
+    EXPECT_LE(w.str().size(), data.size()) << "input " << i;
   }
+  EXPECT_GT(decoded, 400);  // the success path ran, not only the rejections
 }
 
 TEST(Fuzz, ManifestDecoderSurvivesGarbage) {

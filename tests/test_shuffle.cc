@@ -13,6 +13,24 @@
 namespace eclipse::mr {
 namespace {
 
+// One spill's payload, encoded as a map task encodes it.
+std::string EncodeSpill(const std::vector<KV>& pairs) {
+  std::vector<KVView> views;
+  for (const KV& kv : pairs) views.push_back({kv.key, kv.value});
+  BinaryWriter w;
+  EncodeSpillTo(views, w);
+  return w.Take();
+}
+
+// Decode a whole spill, as a reduce task does, into owned pairs.
+Result<std::vector<KV>> DecodeSpill(const std::string& data) {
+  std::vector<KVView> views;
+  if (Status s = DecodeSpillViews(data, &views); !s.ok()) return s;
+  std::vector<KV> out;
+  for (const KVView& kv : views) out.push_back({std::string(kv.key), std::string(kv.value)});
+  return out;
+}
+
 TEST(Spill, EncodeDecodeRoundTrip) {
   std::vector<KV> pairs = {{"k1", "v1"}, {"k2", ""}, {"", "v3"}};
   auto back = DecodeSpill(EncodeSpill(pairs));
@@ -305,16 +323,16 @@ TEST(MergeRunsTest, MatchesStableSortOfTheConcatenation) {
   }
 }
 
-TEST(DecodeSpillIntoTest, AppendsAcrossSpills) {
-  std::vector<KV> a = {{"k1", "v1"}, {"k2", "v2"}};
-  std::vector<KV> b = {{"k3", "v3"}};
-  std::vector<KV> out;
-  ASSERT_TRUE(DecodeSpillInto(EncodeSpill(a), &out).ok());
-  ASSERT_TRUE(DecodeSpillInto(EncodeSpill(b), &out).ok());
+TEST(DecodeSpillViewsTest, AppendsAcrossSpills) {
+  const std::string a = EncodeSpill({{"k1", "v1"}, {"k2", "v2"}});
+  const std::string b = EncodeSpill({{"k3", "v3"}});
+  std::vector<KVView> out;
+  ASSERT_TRUE(DecodeSpillViews(a, &out).ok());
+  ASSERT_TRUE(DecodeSpillViews(b, &out).ok());
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].key, "k1");
   EXPECT_EQ(out[2].value, "v3");
-  EXPECT_FALSE(DecodeSpillInto("garbage", &out).ok());
+  EXPECT_FALSE(DecodeSpillViews("garbage", &out).ok());
 }
 
 class ShuffleWriterTest : public ::testing::Test {
