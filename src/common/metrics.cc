@@ -154,6 +154,31 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name, const MetricLa
   return GetIn(histograms_, name, labels);
 }
 
+void MetricsRegistry::AddToBoundedCounter(const std::string& name, const MetricLabels& labels,
+                                          std::uint64_t delta, std::size_t keep) {
+  MutexLock lock(mu_);
+  Family<Counter>& family = counters_[name];
+  auto [it, created] = family.try_emplace(SerializeLabels(labels));
+  if (created) it->second = std::make_unique<Counter>();
+  it->second->Add(delta);
+  if (!created) return;
+  std::deque<std::string>& order = bounded_[name];
+  order.push_back(it->first);
+  while (order.size() > keep) {
+    family.erase(order.front());
+    order.pop_front();
+  }
+}
+
+std::size_t MetricsRegistry::SeriesCount() const {
+  MutexLock lock(mu_);
+  std::size_t n = 0;
+  for (const auto& [name, family] : counters_) n += family.size();
+  for (const auto& [name, family] : gauges_) n += family.size();
+  for (const auto& [name, family] : histograms_) n += family.size();
+  return n;
+}
+
 std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::CounterSnapshot() const {
   MutexLock lock(mu_);
   std::vector<std::pair<std::string, std::uint64_t>> out;

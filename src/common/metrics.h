@@ -13,6 +13,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,6 +92,17 @@ class MetricsRegistry {
   Histogram& GetHistogram(const std::string& name);
   Histogram& GetHistogram(const std::string& name, const MetricLabels& labels);
 
+  /// Add `delta` to the counter `name{labels}` of a family that keeps only
+  /// its `keep` newest series: creating one more removes the oldest. For
+  /// series that come and go, such as one per job, which would otherwise
+  /// grow the registry forever. The add happens under the registry lock and
+  /// no reference is handed out, since a removed series is freed.
+  void AddToBoundedCounter(const std::string& name, const MetricLabels& labels,
+                           std::uint64_t delta, std::size_t keep);
+
+  /// Number of series of every kind.
+  std::size_t SeriesCount() const;
+
   /// Snapshot of every counter value, sorted by name. Labeled series render
   /// as `name{k="v",...}` and sort after the unlabeled series of the same
   /// family.
@@ -124,6 +136,8 @@ class MetricsRegistry {
   std::map<std::string, Family<Counter>> counters_ GUARDED_BY(mu_);
   std::map<std::string, Family<Gauge>> gauges_ GUARDED_BY(mu_);
   std::map<std::string, Family<Histogram>> histograms_ GUARDED_BY(mu_);
+  // Each bounded counter family's series keys, oldest first.
+  std::map<std::string, std::deque<std::string>> bounded_ GUARDED_BY(mu_);
 };
 
 }  // namespace eclipse

@@ -223,11 +223,7 @@ Status DfsClient::Delete(const std::string& name) {
   const dht::Ring& ring = ring_snap ? *ring_snap : kNoRing;
 
   for (std::uint64_t i = 0; i < meta.value().num_blocks; ++i) {
-    HashKey key = meta.value().KeyOfBlock(i);
-    BinaryWriter w;
-    w.PutString(BlockId(name, i));
-    net::Message del{msg::kDeleteBlock, w.Take()};
-    for (int server : ring.Replicas(key, options_.replication)) CallOk(server, del);
+    DeleteObject(BlockId(name, i), meta.value().KeyOfBlock(i), options_.replication);
   }
   BinaryWriter w;
   w.PutString(name);
@@ -338,12 +334,19 @@ std::vector<Result<std::string>> DfsClient::GetObjects(const std::vector<std::st
 }
 
 void DfsClient::DeleteObject(const std::string& id, HashKey key, std::size_t replication) {
+  DeleteObjects({&id, 1}, key, replication);
+}
+
+void DfsClient::DeleteObjects(std::span<const std::string> ids, HashKey key,
+                              std::size_t replication) {
+  if (ids.empty()) return;
   RingSnapshot ring_snap = ring_();
   static const dht::Ring kNoRing;
   const dht::Ring& ring = ring_snap ? *ring_snap : kNoRing;
   BinaryWriter w;
-  w.PutString(id);
-  net::Message del{msg::kDeleteBlock, w.Take()};
+  w.PutU32(static_cast<std::uint32_t>(ids.size()));
+  for (const std::string& id : ids) w.PutString(id);
+  net::Message del{msg::kDeleteObjects, w.Take()};
   for (int server : ring.Replicas(key, replication)) CallOk(server, del);
 }
 

@@ -8,6 +8,7 @@
 // and successor.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,7 +103,14 @@ class DfsClient {
   std::vector<Result<std::string>> GetObjects(const std::vector<std::string>& ids,
                                               HashKey key);
 
-  /// Delete an object on every replica candidate.
+  /// Delete several objects stored under one hash key: one call to each of
+  /// the key's first `replication` replicas carries every id, and a replica
+  /// skips the ids it does not hold. Best effort: a replica the client's
+  /// retry policy cannot reach keeps its copies. No call for no ids.
+  void DeleteObjects(std::span<const std::string> ids, HashKey key,
+                     std::size_t replication = 1);
+
+  /// The one-id case of DeleteObjects.
   void DeleteObject(const std::string& id, HashKey key, std::size_t replication = 1);
 
   const DfsClientOptions& options() const { return options_; }

@@ -1,5 +1,7 @@
 #include "dfs/dfs_node.h"
 
+#include <optional>
+
 #include "dht/finger_table.h"
 #include "obs/trace.h"
 
@@ -7,6 +9,21 @@ namespace eclipse::dfs {
 namespace {
 
 net::Message Ok(std::string payload = {}) { return net::Message{msg::kOk, std::move(payload)}; }
+
+/// The ids of a batched object request (kGetObjects, kDeleteObjects): u32 n,
+/// then n ids. Nothing when the request is truncated.
+std::optional<std::vector<std::string>> DecodeIds(const std::string& payload) {
+  BinaryReader r(payload);
+  std::uint32_t n;
+  // Every id carries at least its 4-byte length prefix, so a count the
+  // payload cannot hold is rejected before anything is allocated.
+  if (!r.GetU32(&n) || n > r.remaining() / 4) return std::nullopt;
+  std::vector<std::string> ids(n);
+  for (std::string& id : ids) {
+    if (!r.GetString(&id)) return std::nullopt;
+  }
+  return ids;
+}
 
 }  // namespace
 
@@ -97,22 +114,11 @@ net::Message DfsNode::HandleRoutedGet(const net::Message& m) {
 }
 
 net::Message DfsNode::HandleGetObjects(int from, const net::Message& m) {
-  BinaryReader r(m.payload);
-  std::uint32_t n;
-  // Every id carries at least its 4-byte length prefix, so a count the
-  // payload cannot hold is rejected before anything is allocated.
-  if (!r.GetU32(&n) || n > r.remaining() / 4) {
-    return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad GetObjects request");
-  }
-  std::vector<std::string> ids(n);
-  for (std::string& id : ids) {
-    if (!r.GetString(&id)) {
-      return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad GetObjects request");
-    }
-  }
+  const auto ids = DecodeIds(m.payload);
+  if (!ids) return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad GetObjects request");
   BinaryWriter w;
-  w.PutU32(n);
-  for (const std::string& id : ids) {
+  w.PutU32(static_cast<std::uint32_t>(ids->size()));
+  for (const std::string& id : *ids) {
     auto data = blocks_.Get(id);
     if (!data.ok()) {
       w.PutU32(static_cast<std::uint32_t>(data.status().code()));
@@ -266,13 +272,11 @@ net::Message DfsNode::Handle(int from, const net::Message& m) {
     case msg::kGetObjects:
       return HandleGetObjects(from, m);
 
-    case msg::kDeleteBlock: {
-      BinaryReader r(m.payload);
-      std::string id;
-      if (!r.GetString(&id)) {
-        return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad DeleteBlock request");
-      }
-      blocks_.Erase(id);
+    case msg::kDeleteObjects: {
+      // The whole request is decoded first: a truncated one erases nothing.
+      const auto ids = DecodeIds(m.payload);
+      if (!ids) return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad DeleteObjects request");
+      for (const std::string& id : *ids) blocks_.Erase(id);
       return Ok();
     }
 

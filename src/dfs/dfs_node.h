@@ -24,7 +24,6 @@ inline constexpr std::uint32_t kGetMetadata = 201;
 inline constexpr std::uint32_t kDeleteMetadata = 202;
 inline constexpr std::uint32_t kPutBlock = 203;
 inline constexpr std::uint32_t kGetBlock = 204;
-inline constexpr std::uint32_t kDeleteBlock = 205;
 inline constexpr std::uint32_t kListBlocks = 206;
 inline constexpr std::uint32_t kListMetadata = 207;
 inline constexpr std::uint32_t kGetBlockRange = 208;
@@ -33,6 +32,10 @@ inline constexpr std::uint32_t kRoutedGet = 209;
 /// request order, each a u32 ErrorCode and a string: the object's bytes on
 /// kOk, else the error message.
 inline constexpr std::uint32_t kGetObjects = 210;
+/// Batched object delete, for blocks and objects alike: u32 n, then n ids.
+/// The node erases each id from its BlockStore (an id it does not hold is
+/// not an error) and answers kOk. Type 205 (a one-id delete) is retired.
+inline constexpr std::uint32_t kDeleteObjects = 211;
 inline constexpr std::uint32_t kOk = 299;
 }  // namespace msg
 

@@ -110,8 +110,9 @@ RecoveryReport FsRecovery::Repair(std::size_t replication, bool drop_extraneous)
       for (int holder : item.holders) {
         if (has(targets, holder)) continue;
         BinaryWriter w;
+        w.PutU32(1);
         w.PutString(id);
-        if (call(holder, net::Message{msg::kDeleteBlock, w.Take()}).ok()) {
+        if (call(holder, net::Message{msg::kDeleteObjects, w.Take()}).ok()) {
           ++report.blocks_dropped;
         }
       }

@@ -1,6 +1,7 @@
 #include "mr/job_queue.h"
 
 #include <cassert>
+#include <optional>
 #include <string>
 
 #include "mr/cluster.h"
@@ -175,12 +176,13 @@ void JobQueue::RunnerLoop() {
         UpdateDemandLocked(user, static_cast<double>(job->predicted_us));
     }
     JobResult result;
+    std::optional<JobRunner> runner;
     if (job->cancel->load(std::memory_order_relaxed)) {
       result.status = Status::Error(ErrorCode::kCancelled, "job cancelled before start");
       result.job_id = job->job_id;
     } else {
-      JobRunner runner(cluster_, job->spec, job->job_id, job->cancel);
-      result = runner.Run();
+      runner.emplace(cluster_, job->spec, job->job_id, job->cancel);
+      result = runner->Run();
     }
     result.eta_us = job->eta_us;
     const std::uint64_t slo_us = ToUs(job->spec.slo);
@@ -201,6 +203,10 @@ void JobQueue::RunnerLoop() {
       job->done = true;
       job->cv.notify_all();
     }
+    // A successful job's spills are deleted once its handle has completed,
+    // which keeps the deletes off the job's latency (a failed or cancelled
+    // job deleted its own inside Run). Running() falls only after this.
+    if (runner) runner->CleanupSpills();
     {
       MutexLock lock(mu_);
       --running_;

@@ -123,7 +123,8 @@ class JobQueue {
 
   /// Jobs submitted but not yet picked up by a runner thread.
   std::size_t Pending() const;
-  /// Jobs currently executing.
+  /// Jobs currently executing. A job counts until its runner has deleted
+  /// its spills, which for a successful job is after its handle completes.
   std::size_t Running() const;
 
  private:

@@ -7,6 +7,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <type_traits>
 
@@ -20,9 +21,15 @@ namespace {
 
 constexpr int kMaxAttemptsPerTask = 5;
 
-/// A reduce gathers its spills in DHT-FS calls of at most this many encoded
-/// bytes each, far below the wire's 1 GiB frame limit.
+/// A reduce gathers its spills, and the cleanup deletes them, in DHT-FS calls
+/// of at most this many encoded bytes each, far below the wire's 1 GiB frame
+/// limit.
 constexpr Bytes kGatherBatchBytes = 64_MiB;
+
+/// The per-job metric series (mr.job_map_tasks{job}, mr.job_reduce_tasks{job})
+/// of this many newest jobs are kept; older ones are dropped, so the registry
+/// does not grow with every job. At least the 12 jobs multi_tenant checks.
+constexpr std::size_t kJobSeriesKept = 64;
 
 net::Deadline TaskDeadline(const JobSpec& spec) {
   return spec.task_deadline.count() > 0
@@ -117,7 +124,10 @@ JobResult JobRunner::Run() {
                           {obs::U64("job", job_id_), obs::U64("epoch", epoch_->version)});
   std::vector<KV> output;
   result.status = Execute(&output);
-  if (!result.status.ok()) return result;
+  if (!result.status.ok()) {
+    CleanupSpills();  // before the handle completes, as a caller may check at once
+    return result;
+  }
 
   result.output = std::move(output);
   stats_.wall_seconds =
@@ -131,11 +141,13 @@ JobResult JobRunner::Run() {
                               static_cast<std::uint64_t>(stats_.wall_seconds * 1e6));
 
   auto& metrics = cluster_.metrics();
-  // Per-job / per-user series (job="N" matches the trace spans' job arg) —
-  // alongside the unlabeled cluster-wide totals, which stay as before.
+  // Per-job series of the newest jobs (job="N" matches the trace spans' job
+  // arg) and per-user series, alongside the unlabeled cluster-wide totals.
   const MetricLabels job_label{{"job", std::to_string(job_id_)}};
-  metrics.GetCounter("mr.job_map_tasks", job_label).Add(stats_.map_tasks);
-  metrics.GetCounter("mr.job_reduce_tasks", job_label).Add(stats_.reduce_tasks);
+  metrics.AddToBoundedCounter("mr.job_map_tasks", job_label, stats_.map_tasks,
+                              kJobSeriesKept);
+  metrics.AddToBoundedCounter("mr.job_reduce_tasks", job_label, stats_.reduce_tasks,
+                              kJobSeriesKept);
   metrics.GetHistogram("mr.job_wall_us_by_user", {{"user", user_}})
       .Record(static_cast<std::uint64_t>(stats_.wall_seconds * 1e6));
   metrics.GetCounter("mr.jobs_by_user", {{"user", user_}}).Add();
@@ -180,8 +192,7 @@ Status JobRunner::Execute(std::vector<KV>* output) {
     metas_.push_back(std::move(meta.value()));
   }
   fs_ranges_ = epoch_->fs_ranges;
-  auto cancelled = [this](const char* phase) {
-    CleanupCancelledSpills();
+  auto cancelled = [](const char* phase) {
     return Status::Error(ErrorCode::kCancelled,
                          std::string("job cancelled during ") + phase + " phase");
   };
@@ -236,33 +247,57 @@ Status JobRunner::Execute(std::vector<KV>* output) {
   return Status::Ok();
 }
 
-void JobRunner::CleanupCancelledSpills() {
+void JobRunner::CleanupSpills() {
   // Tagged intermediates stay: every spill in spills_ was fully written and
   // its manifest is independently valid, so a later job with the same tag
   // reuses them (§II-C). Untagged spills are private to this job_id — no
-  // other job can ever reference them, so delete them from the DHT FS.
+  // other job can ever reference them — and reduces never put them in the
+  // oCache, so only the DHT FS holds them.
   if (!spec_.intermediate_tag.empty()) return;
-  std::vector<SpillInfo> doomed;
+  // Range begin -> the range's distinct spill ids: a spill is stored at its
+  // range's owner, so one call there deletes the whole range.
+  std::map<HashKey, std::vector<std::string>> doomed;
   {
     MutexLock lock(state_mu_);
     for (auto& [range_begin, group] : spills_) {
-      for (Spill& spill : group) doomed.push_back(std::move(spill.info));
+      for (Spill& spill : group) doomed[range_begin].push_back(std::move(spill.info.id));
     }
-    for (auto& info : orphan_spills_) doomed.push_back(std::move(info));
+    for (SpillInfo& info : orphan_spills_) {
+      doomed[info.range_begin].push_back(std::move(info.id));
+    }
     spills_.clear();
     orphan_spills_.clear();
+    for (auto& [range_begin, ids] : doomed) {  // ledger ids may repeat across attempts
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    }
   }
-  // Reduces never put untagged spills in the oCache, so only the DHT FS
-  // holds them.
-  std::set<std::string> deleted;  // ledger ids may repeat across attempts
-  for (const auto& info : doomed) {
-    if (!deleted.insert(info.id).second) continue;
-    cluster_.dfs().DeleteObject(info.id, info.range_begin);  // best-effort
+  if (doomed.empty()) return;
+  // Timed only if the capture was already on: NowUs() counts from the
+  // capture's start, so a reading taken before Start() would be meaningless.
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const bool traced = tracer.enabled();
+  const std::uint64_t t0 = traced ? tracer.NowUs() : 0;
+  std::uint64_t deleted = 0;
+  std::uint64_t calls = 0;
+  std::vector<Bytes> sizes;  // encoded id sizes, for BatchEnds
+  for (const auto& [range_begin, ids] : doomed) {
+    sizes.clear();
+    for (const std::string& id : ids) sizes.push_back(4 + id.size());
+    std::size_t begin = 0;
+    for (std::size_t end : BatchEnds(sizes, kGatherBatchBytes)) {
+      cluster_.dfs().DeleteObjects(std::span(ids).subspan(begin, end - begin), range_begin);
+      ++calls;
+      begin = end;
+    }
+    deleted += ids.size();
   }
-  if (!deleted.empty()) {
-    obs::Tracer::Global().Emit('i', "mr", "cancel_cleanup", obs::kDriverPid,
-                               {obs::U64("job", job_id_),
-                                obs::U64("spills_deleted", deleted.size())});
+  // A complete event, not a TraceSpan: after a success this runs beside the
+  // caller, who may stop and export the capture in the meantime.
+  if (traced) {
+    tracer.EmitComplete(t0, "mr", "spill_cleanup", obs::kDriverPid,
+                        {obs::U64("job", job_id_), obs::U64("spills_deleted", deleted),
+                         obs::U64("calls", calls)});
   }
 }
 
@@ -1001,7 +1036,9 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
 
 JobResult Cluster::Run(const JobSpec& spec) {
   JobRunner runner(*this, spec, Cluster::NextJobId());
-  return runner.Run();
+  JobResult result = runner.Run();
+  runner.CleanupSpills();  // a no-op after a failure, which cleaned up already
+  return result;
 }
 
 }  // namespace eclipse::mr

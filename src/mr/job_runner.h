@@ -38,12 +38,22 @@ class JobRunner {
   JobRunner(Cluster& cluster, const JobSpec& spec, std::uint64_t job_id,
             std::shared_ptr<std::atomic<bool>> cancel = nullptr);
 
+  /// Run the job. A failed or cancelled job has deleted its private spills
+  /// when Run returns; a successful one keeps them until CleanupSpills, so
+  /// that the caller can publish the result first.
   JobResult Run();
+
+  /// Delete this job's private spills from the DHT FS: one DeleteObjects
+  /// call per range, at the range's owner, carries every spill of the range,
+  /// failed attempts' orphans included. A tagged job keeps its spills and
+  /// manifests for §II-C reuse. Best effort: a dropped call, or a range
+  /// whose owner changed after the push, leaves that range's spills behind.
+  /// A second call finds nothing to delete.
+  void CleanupSpills();
 
  private:
   /// Run's body (Fig. 2 end to end): metadata, map phase, reduce phase,
-  /// the merge of the per-range runs, and the optional output upload. Cleans
-  /// up a cancelled job's intermediates before reporting kCancelled.
+  /// the merge of the per-range runs, and the optional output upload.
   Status Execute(std::vector<KV>* output);
 
   struct MapOutcome {
@@ -114,10 +124,6 @@ class JobRunner {
     return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
   }
 
-  /// Best-effort removal of the cancelled job's partial intermediates from
-  /// the DHT FS (tagged jobs keep theirs — their manifests stay reusable).
-  void CleanupCancelledSpills();
-
   /// The attempt driver both phases share (defined in job_runner.cc). It
   /// owns queueing attempts for their workers' slots at the SlotArbiter,
   /// first-success-wins with the losers' tokens flipped, the
@@ -161,10 +167,10 @@ class JobRunner {
   /// values depend on that order for bit-identical output.
   std::map<HashKey, std::vector<Spill>> spills_ GUARDED_BY(state_mu_);
   /// Spills reported by failed or cancelled attempts. Not part of the reduce
-  /// plan; CleanupCancelledSpills deletes them alongside spills_ so a
-  /// cancelled job leaves no partial intermediates in the DHT FS. Harmless
-  /// when the job goes on to succeed: spill ids are deterministic, so a
-  /// retried attempt re-registers the same ids in spills_.
+  /// plan; CleanupSpills deletes them alongside spills_, so a job leaves no
+  /// partial intermediates in the DHT FS. An orphan's id may also be in
+  /// spills_: spill ids are deterministic, so a retried attempt re-registers
+  /// the same ids.
   std::vector<SpillInfo> orphan_spills_ GUARDED_BY(state_mu_);
   JobStats stats_;            // driver-thread only (outcomes are collected on
                               // the submitting thread, never on slot threads)

@@ -43,7 +43,7 @@ inline constexpr std::uint32_t kProtocolMagic = 0x45'43'4C'50;  // "ECLP"
 
 /// Bumped on any wire-format change. A worker and coordinator from
 /// different builds refuse to pair (kReject) instead of corrupting state.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Well-known node id of the coordinator's bootstrap endpoint — outside the
 /// worker id space (workers are 0..N-1; the external DFS client is

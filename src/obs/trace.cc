@@ -157,6 +157,14 @@ void Tracer::Emit(char phase, const char* cat, const char* name, int pid, const 
   Append(NowUs(), 0, phase, cat, name, pid, nullptr, args, nargs);
 }
 
+void Tracer::EmitComplete(std::uint64_t ts_us, const char* cat, const char* name, int pid,
+                          std::initializer_list<TraceArg> args) {
+  if (!enabled()) return;
+  const std::uint64_t now = NowUs();
+  Append(ts_us, now > ts_us ? now - ts_us : 0, 'X', cat, name, pid, nullptr, args.begin(),
+         args.size());
+}
+
 void Tracer::EmitAt(std::uint64_t ts_us, std::uint64_t dur_us, char phase, const char* cat,
                     const char* name, int pid, std::uint32_t tid,
                     std::initializer_list<TraceArg> args) {

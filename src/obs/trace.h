@@ -107,6 +107,13 @@ class Tracer {
   void Emit(char phase, const char* cat, const char* name, int pid, const TraceArg* args,
             std::size_t nargs);
 
+  /// Append one complete ('X') event on the calling thread's track, from
+  /// `ts_us` (a NowUs() reading) to now. Unlike a TraceSpan it is never
+  /// open: a capture stopped and exported while the work runs lacks it
+  /// instead of holding a 'B' without its 'E'. No-op when disabled.
+  void EmitComplete(std::uint64_t ts_us, const char* cat, const char* name, int pid,
+                    std::initializer_list<TraceArg> args);
+
   /// Append one event with an explicit timestamp (and duration, for 'X'
   /// complete events) — the simulator's path. No-op when disabled.
   void EmitAt(std::uint64_t ts_us, std::uint64_t dur_us, char phase, const char* cat,

@@ -343,6 +343,51 @@ TEST(Deploy, CrashRecoveryOverWorkerHosts) {
   coordinator->ShutdownAll();
 }
 
+// A finished job's spills are deleted over the wire (kDeleteObjects, at
+// protocol version 3): no host's BlockStore keeps an object of the job's
+// private scope.
+TEST(Deploy, FinishedJobLeavesNoSpillsOnAnyHost) {
+  auto coordinator = std::make_shared<mr::DeploymentCoordinator>(mr::DeploymentOptions{});
+  ASSERT_GT(coordinator->bootstrap_port(), 0);
+  mr::WorkerHostOptions wopts;
+  wopts.coordinator_port = coordinator->bootstrap_port();
+  std::vector<std::unique_ptr<mr::WorkerHost>> hosts;
+  for (int i = 0; i < 5; ++i) {
+    hosts.push_back(std::make_unique<mr::WorkerHost>(wopts));
+    ASSERT_TRUE(hosts.back()->Start()) << hosts.back()->error();
+  }
+  ASSERT_TRUE(coordinator->WaitForWorkers(5, 5000));
+
+  Rng rng(35);
+  workload::TextOptions topts;
+  topts.target_bytes = 3000;
+  const std::string text = workload::GenerateText(rng, topts);
+  {
+    mr::ClusterOptions copts;
+    copts.deployment = coordinator;
+    copts.block_size = 512;
+    mr::Cluster cluster(copts);
+    ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+
+    mr::JobSpec spec = apps::WordCountJob("wc", "corpus");
+    spec.spill_threshold = 128;  // several spills per range
+    const mr::JobResult result = cluster.Run(spec);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    ASSERT_GT(result.stats.spills, result.stats.reduce_tasks);
+    const auto expected = apps::WordCountSerial(text);
+    ASSERT_EQ(result.output.size(), expected.size());
+
+    const std::string prefix = "im/j" + std::to_string(result.job_id) + "/";
+    for (auto& host : hosts) {
+      for (const auto& info : host->dfs_node().blocks().List()) {
+        EXPECT_NE(info.id.rfind(prefix, 0), 0u)
+            << "spill " << info.id << " left on host " << host->node();
+      }
+    }
+  }
+  coordinator->ShutdownAll();
+}
+
 // ---------------------------------------------------------------------------
 // The real thing: coordinator + workers as subprocesses
 

@@ -362,5 +362,89 @@ TEST(DfsClient, GetObjectsRejectsTruncatedRequests) {
   EXPECT_EQ(net::DecodeError(resp.value()).code(), ErrorCode::kInvalidArgument);
 }
 
+TEST(DfsClient, DeleteObjectsErasesExactlyTheNamedIds) {
+  CountedServers s;
+  const HashKey key = KeyOf("range");
+  const std::vector<int> replicas = s.ring.Replicas(key, 3);
+  ASSERT_EQ(replicas.size(), 3u);
+  const int owner = replicas[0];
+  const int successor = replicas[1];
+  for (const char* id : {"A", "B", "C"}) ASSERT_TRUE(s.client->PutObject(id, key, id).ok());
+  s.store(successor).Put("A", key, "a-copy");  // a later replica is not asked by default
+
+  const std::uint64_t before = s.calls();
+  const std::vector<std::string> ids = {"C", "absent", "A"};
+  s.client->DeleteObjects(ids, key);
+  EXPECT_EQ(s.calls() - before, 1u) << "one call carries every id";
+  EXPECT_FALSE(s.store(owner).Contains("A"));
+  EXPECT_TRUE(s.store(owner).Contains("B"));
+  EXPECT_FALSE(s.store(owner).Contains("C"));
+  EXPECT_EQ(s.store(owner).Count(), 1u);
+  EXPECT_TRUE(s.store(successor).Contains("A"));
+
+  // One call per replica asked; an id a replica lacks is skipped.
+  const std::uint64_t before_all = s.calls();
+  s.client->DeleteObjects(ids, key, /*replication=*/3);
+  EXPECT_EQ(s.calls() - before_all, 3u);
+  EXPECT_FALSE(s.store(successor).Contains("A"));
+  EXPECT_TRUE(s.store(owner).Contains("B"));
+
+  const std::uint64_t before_none = s.calls();
+  s.client->DeleteObjects({}, key);
+  EXPECT_EQ(s.calls(), before_none) << "no ids, no call";
+}
+
+TEST(DfsClient, DeleteObjectIsTheOneIdCase) {
+  CountedServers s;
+  const HashKey key = KeyOf("range");
+  const int owner = s.ring.Replicas(key, 3)[0];
+  ASSERT_TRUE(s.client->PutObject("A", key, "a-bytes").ok());
+  ASSERT_TRUE(s.client->PutObject("B", key, "b-bytes").ok());
+
+  const std::uint64_t before = s.calls();
+  s.client->DeleteObject("A", key);
+  EXPECT_EQ(s.calls() - before, 1u);
+  EXPECT_FALSE(s.store(owner).Contains("A"));
+  EXPECT_TRUE(s.store(owner).Contains("B"));
+  s.client->DeleteObject("absent", key);  // not an error
+  EXPECT_TRUE(s.store(owner).Contains("B"));
+}
+
+TEST(DfsClient, DeleteObjectsRejectsTruncatedRequests) {
+  CountedServers s;
+  s.store(0).Put("A", 1, "a-bytes");
+  s.store(0).Put("B", 1, "b-bytes");
+  BinaryWriter w;
+  w.PutU32(2);
+  w.PutString("A");
+  w.PutString("B");
+  std::string full = w.Take();
+  const std::vector<std::string> bad = {
+      full.substr(0, full.size() - 1),  // second id cut short
+      full.substr(0, 4 + 4 + 1),        // second id missing
+      full.substr(0, 3),                // count cut short
+  };
+  for (const std::string& payload : bad) {
+    auto resp = s.transport.Call(1000, 0, net::Message{msg::kDeleteObjects, payload});
+    ASSERT_TRUE(resp.ok());
+    ASSERT_TRUE(net::IsError(resp.value()));
+    EXPECT_EQ(net::DecodeError(resp.value()).code(), ErrorCode::kInvalidArgument);
+  }
+  BinaryWriter huge;
+  huge.PutU32(0xFFFFFFFF);  // a count the payload cannot hold
+  auto resp = s.transport.Call(1000, 0, net::Message{msg::kDeleteObjects, huge.Take()});
+  ASSERT_TRUE(resp.ok());
+  ASSERT_TRUE(net::IsError(resp.value()));
+  EXPECT_EQ(net::DecodeError(resp.value()).code(), ErrorCode::kInvalidArgument);
+  // A rejected request erases nothing, not even the ids before the cut.
+  EXPECT_TRUE(s.store(0).Contains("A"));
+  EXPECT_TRUE(s.store(0).Contains("B"));
+
+  auto ok = s.transport.Call(1000, 0, net::Message{msg::kDeleteObjects, full});
+  ASSERT_TRUE(ok.ok());
+  EXPECT_FALSE(net::IsError(ok.value()));
+  EXPECT_EQ(s.store(0).Count(), 0u);
+}
+
 }  // namespace
 }  // namespace eclipse::dfs

@@ -53,7 +53,7 @@ TEST_F(HandlerFuzz, AllTypesSurviveGarbagePayloads) {
   // Sweep every routed message type with random payloads of various sizes.
   std::vector<std::uint32_t> types;
   for (std::uint32_t t = 100; t <= 105; ++t) types.push_back(t);  // membership
-  for (std::uint32_t t = 200; t <= 209; ++t) types.push_back(t);  // dfs
+  for (std::uint32_t t = 200; t <= 211; ++t) types.push_back(t);  // dfs
   for (std::uint32_t t : {300u, 301u}) types.push_back(t);        // cache
   types.push_back(999);  // unrouted
 
@@ -91,8 +91,9 @@ TEST_F(HandlerFuzz, OversizedLengthPrefixesRejected) {
   BinaryWriter w;
   w.PutU32(0xFFFFFFFF);  // absurd length prefix
   w.PutString("x");
-  for (std::uint32_t type : {dfs::msg::kGetBlock, dfs::msg::kPutBlock,
-                             dfs::msg::kGetMetadata, cache::msg::kFetch}) {
+  for (std::uint32_t type : {dfs::msg::kGetBlock, dfs::msg::kPutBlock, dfs::msg::kGetMetadata,
+                             dfs::msg::kGetObjects, dfs::msg::kDeleteObjects,
+                             cache::msg::kFetch}) {
     auto resp = transport_.Call(1000, 0, net::Message{type, w.str()});
     ASSERT_TRUE(resp.ok());
     EXPECT_TRUE(net::IsError(resp.value())) << "type " << type;

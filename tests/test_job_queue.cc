@@ -74,6 +74,16 @@ void ExpectNoJobResidue(mr::Cluster& cluster, std::uint64_t job_id) {
   }
 }
 
+/// Wait until no runner is busy: a submitted job's runner deletes the job's
+/// spills after its handle completes.
+void WaitForIdleRunners(mr::Cluster& cluster) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cluster.queue().Running() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(cluster.queue().Running(), 0u) << "a runner never finished";
+}
+
 TEST(JobQueue, SubmitWaitMatchesSoloRun) {
   mr::ClusterOptions opts;
   opts.num_servers = 4;
@@ -315,6 +325,66 @@ TEST(JobQueue, CancelMidReduceLeavesClusterReusable) {
   ExpectAllSlotsFree(cluster);
 
   ExpectWordCount(cluster.Run(apps::WordCountJob("after", "corpus")), text);
+  ExpectAllSlotsFree(cluster);
+}
+
+// A successful job deletes its private spills too: through Run before Run
+// returns, and through Submit once its runner has finished, which is after
+// the handle completes so that the deletes stay off the job's latency.
+TEST(JobQueue, SuccessfulJobLeavesNoResidue) {
+  mr::ClusterOptions opts;
+  opts.num_servers = 4;
+  opts.block_size = 512;
+  mr::Cluster cluster(opts);
+  std::string text = MakeText(81);
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  mr::JobSpec job = apps::WordCountJob("clean", "corpus");
+  job.spill_threshold = 256;
+
+  mr::JobResult ran = cluster.Run(job);
+  ExpectWordCount(ran, text);
+  ASSERT_GT(ran.stats.spills, 0u);
+  ExpectNoJobResidue(cluster, ran.job_id);
+
+  mr::JobHandle h = cluster.Submit(job);
+  mr::JobResult submitted = h.Wait();
+  ExpectWordCount(submitted, text);
+  ASSERT_GT(submitted.stats.spills, 0u);
+  WaitForIdleRunners(cluster);
+  ExpectNoJobResidue(cluster, h.job_id());
+  ExpectAllSlotsFree(cluster);
+}
+
+// A job that fails after some of its maps spilled deletes their spills
+// before its handle completes. The corpus's last block is gone from every
+// replica, so the maps that need it fail every attempt; the others spill.
+TEST(JobQueue, FailedJobLeavesNoResidue) {
+  mr::ClusterOptions opts;
+  opts.num_servers = 4;
+  opts.block_size = 512;
+  mr::Cluster cluster(opts);
+  std::string text = MakeText(91);
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  const std::uint64_t blocks = cluster.dfs().GetMetadata("corpus").value().num_blocks;
+  ASSERT_GT(blocks, 8u);
+  const std::string lost = dfs::BlockId("corpus", blocks - 1);
+  std::size_t corpus_objects = 0;
+  for (int id : cluster.WorkerIds()) {
+    dfs::BlockStore& store = cluster.worker(id).dfs_node().blocks();
+    store.Erase(lost);
+    corpus_objects += store.Count();
+  }
+
+  mr::JobSpec job = apps::WordCountJob("fails", "corpus");
+  job.spill_threshold = 256;
+  mr::JobHandle h = cluster.Submit(std::move(job));
+  mr::JobResult r = h.Wait();
+  ASSERT_FALSE(r.status.ok());
+  EXPECT_NE(r.status.code(), ErrorCode::kCancelled) << r.status.ToString();
+  ExpectNoJobResidue(cluster, h.job_id());
+  std::size_t objects = 0;
+  for (int id : cluster.WorkerIds()) objects += cluster.worker(id).dfs_node().blocks().Count();
+  EXPECT_EQ(objects, corpus_objects);
   ExpectAllSlotsFree(cluster);
 }
 

@@ -196,6 +196,30 @@ TEST(MetricsRegistryTest, LabelOrderDoesNotSplitSeries) {
   EXPECT_EQ(reg.CounterSnapshot().size(), 1u);
 }
 
+TEST(MetricsRegistryTest, BoundedCounterKeepsTheNewestSeries) {
+  MetricsRegistry reg;
+  reg.GetCounter("other").Add(1);
+  for (int job = 0; job < 10; ++job) {
+    reg.AddToBoundedCounter("per_job", {{"job", std::to_string(job)}},
+                            static_cast<std::uint64_t>(job), /*keep=*/3);
+  }
+  // Adding to a kept series creates nothing, so nothing is removed.
+  reg.AddToBoundedCounter("per_job", {{"job", "7"}}, 100, /*keep=*/3);
+  EXPECT_EQ(reg.SeriesCount(), 4u);
+  const auto snapshot = reg.CounterSnapshot();
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"other", 1},
+      {"per_job{job=\"7\"}", 107},
+      {"per_job{job=\"8\"}", 8},
+      {"per_job{job=\"9\"}", 9},
+  };
+  EXPECT_EQ(snapshot, expected);
+
+  reg.GetHistogram("h", {{"k", "v"}}).Record(1);
+  reg.GetGauge("g").Set(1);
+  EXPECT_EQ(reg.SeriesCount(), 6u);
+}
+
 // Every non-comment line of the exposition must parse as
 // `name{label="value",...} <number>` with a sanitized metric name — the
 // format Prometheus's text parser accepts line by line.
@@ -310,6 +334,14 @@ TEST(ClusterMetrics, JobsPopulateRegistry) {
   EXPECT_GT(m.GetCounter("mr.map_tasks").value(), 0u);
   EXPECT_GT(m.GetCounter("mr.icache_hits").value(), 0u) << "second run hits";
   EXPECT_EQ(m.GetHistogram("mr.job_wall_us").count(), 2u);
+  std::size_t job_series = 0;
+  for (const auto& [series, value] : m.CounterSnapshot()) {
+    if (series.rfind("mr.job_map_tasks{job=", 0) == 0) {
+      ++job_series;
+      EXPECT_GT(value, 0u) << series;
+    }
+  }
+  EXPECT_EQ(job_series, 2u) << "one per-job series per job";
 
   cluster.KillServer(1);
   EXPECT_EQ(m.GetCounter("cluster.recoveries").value(), 1u);

@@ -252,8 +252,9 @@ TEST(MrEngine, ReduceGathersItsRangeInOneCall) {
   // Metadata, block reads, boundary peeks, one push per spill.
   const std::uint64_t map_side = 1 + blocks + (blocks - 1) + result.stats.spills;
   ASSERT_GE(job_calls, map_side);
-  EXPECT_EQ(job_calls - map_side, result.stats.reduce_tasks)
-      << "the reduce side should make one call per reduce task, not one per spill ("
+  // Each range: one gather by its reduce, then one delete by the cleanup.
+  EXPECT_EQ(job_calls - map_side, 2 * result.stats.reduce_tasks)
+      << "each range should cost one gather and one delete, not one call per spill ("
       << result.stats.spills << " spills)";
 
   auto expected = apps::WordCountSerial(text);

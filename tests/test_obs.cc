@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <set>
 #include <string>
@@ -254,6 +255,44 @@ TEST(TraceCaptureTest, SecondRunOverSameInputHitsMemory) {
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_GT(jobs[0].maps_memory, 0u) << "warmed iCache should serve map inputs";
   EXPECT_GT(jobs[0].bytes_from_memory, 0u);
+  tracer.Clear();
+}
+
+// A finished job's spill cleanup is one complete event on the driver pid:
+// every spill deleted, one DeleteObjects call per range, and a capture that
+// still validates.
+TEST(TraceCaptureTest, SpillCleanupIsOneCompleteEvent) {
+  auto& tracer = obs::Tracer::Global();
+  mr::ClusterOptions opts;
+  opts.num_servers = 4;
+  opts.block_size = 256;
+  mr::Cluster cluster(opts);
+  Rng rng(9);
+  workload::TextOptions topts;
+  topts.target_bytes = 4000;
+  ASSERT_TRUE(cluster.dfs().Upload("t", workload::GenerateText(rng, topts)).ok());
+
+  tracer.Start();
+  mr::JobSpec spec = apps::WordCountJob("wc", "t");
+  spec.spill_threshold = 128;
+  const mr::JobResult result = cluster.Run(spec);
+  tracer.Stop();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  std::vector<const obs::TraceEvent*> cleanups;
+  const std::vector<obs::TraceEvent> events = tracer.Snapshot();
+  for (const obs::TraceEvent& ev : events) {
+    if (std::string_view(ev.name) == "spill_cleanup") cleanups.push_back(&ev);
+  }
+  ASSERT_EQ(cleanups.size(), 1u);
+  const obs::TraceEvent& ev = *cleanups[0];
+  EXPECT_EQ(ev.phase, 'X');
+  EXPECT_EQ(ev.pid, obs::kDriverPid);
+  std::map<std::string, std::uint64_t> args;
+  for (std::size_t a = 0; a < ev.nargs; ++a) args[ev.args[a].key] = ev.args[a].uval;
+  EXPECT_EQ(args["job"], result.job_id);
+  EXPECT_EQ(args["spills_deleted"], result.stats.spills);
+  EXPECT_EQ(args["calls"], result.stats.reduce_tasks);
+  EXPECT_TRUE(obs::ValidateChromeTrace(tracer.ExportChromeTrace()).ok());
   tracer.Clear();
 }
 

@@ -384,7 +384,7 @@ TEST(RaceStress, ClusterAddServerVsJobs) {
     drivers.emplace_back([&cluster, &ok_jobs, t] {
       for (int i = 0; i < 3; ++i) {
         auto r = cluster.Run(
-            apps::WordCountJob("j" + std::to_string(t) + "-" + std::to_string(i),
+            apps::WordCountJob(std::string("j") + std::to_string(t) + "-" + std::to_string(i),
                                t == 0 ? "a" : "b"));
         if (r.status.ok()) ok_jobs.fetch_add(1);
       }
@@ -451,6 +451,52 @@ TEST(RaceStress, SubmittedJobsVsAddServer) {
   auto after = cluster.Run(apps::WordCountJob("after-grow", "a"));
   ASSERT_TRUE(after.status.ok()) << after.status.ToString();
   ASSERT_EQ(after.output.size(), oracle_a.size());
+}
+
+TEST(RaceStress, SpillCleanupVsNextJobsSpillPushes) {
+  // A successful job's runner deletes its spills after the handle completes,
+  // while the next job, on the other runner, pushes its spills to the same
+  // range owners over the same corpus. The deletes name only the finished
+  // job's ids: every output must match the oracle, and once the runners are
+  // idle the stores hold the corpus and nothing else.
+  mr::ClusterOptions opts;
+  opts.num_servers = 4;
+  opts.block_size = 512;
+  opts.max_concurrent_jobs = 2;
+  mr::Cluster cluster(opts);
+  Rng rng(53);
+  workload::TextOptions topts;
+  topts.target_bytes = 6000;
+  const std::string text = workload::GenerateText(rng, topts);
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  const auto oracle = apps::WordCountSerial(text);
+  auto stored_objects = [&cluster] {
+    std::size_t n = 0;
+    for (int id : cluster.WorkerIds()) n += cluster.worker(id).dfs_node().blocks().Count();
+    return n;
+  };
+  const std::size_t corpus_objects = stored_objects();
+
+  std::vector<mr::JobHandle> handles;
+  for (int i = 0; i < 6; ++i) {
+    mr::JobSpec job = apps::WordCountJob("cleanup-race", "corpus");
+    job.spill_threshold = 128;
+    handles.push_back(cluster.Submit(std::move(job)));
+  }
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    const mr::JobResult r = handles[i].Wait();
+    ASSERT_TRUE(r.status.ok()) << "job " << i << ": " << r.status.ToString();
+    ASSERT_EQ(r.output.size(), oracle.size()) << "job " << i;
+    for (const auto& kv : r.output) {
+      ASSERT_EQ(kv.value, std::to_string(oracle.at(kv.key))) << "job " << i << " " << kv.key;
+    }
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (cluster.queue().Running() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(cluster.queue().Running(), 0u);
+  EXPECT_EQ(stored_objects(), corpus_objects);
 }
 
 TEST(RaceStress, ValidatorTracksContendedNesting) {
