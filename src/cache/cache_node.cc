@@ -147,35 +147,6 @@ CacheValue CacheClient::FetchFrom(int server, const std::string& id, EntryKind e
   return std::make_shared<const std::string>(std::move(resp.value().payload));
 }
 
-std::size_t CacheClient::MigrateRange(int server, const KeyRange& range, LruCache& into) {
-  BinaryWriter w;
-  w.PutU64(range.begin);
-  w.PutU64(range.end);
-  w.PutU8(range.full ? 1 : 0);
-  auto resp = transport_.Call(self_, server, net::Message{msg::kCollect, w.Take()});
-  if (!resp.ok() || net::IsError(resp.value())) return 0;
-
-  BinaryReader r(resp.value().payload);
-  std::uint32_t n = 0;
-  if (!r.GetU32(&n)) return 0;
-  std::size_t moved = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string id, data;
-    std::uint64_t key, size;
-    std::uint8_t kind;
-    if (!r.GetString(&id) || !r.GetU64(&key) || !r.GetU8(&kind) || !r.GetU64(&size) ||
-        !r.GetString(&data)) {
-      break;
-    }
-    if (kind >= kNumEntryKinds) continue;
-    bool ok = (data.empty() && size > 0)
-                  ? into.PutPlaceholder(id, key, size, static_cast<EntryKind>(kind))
-                  : into.Put(id, key, std::move(data), static_cast<EntryKind>(kind));
-    if (ok) ++moved;
-  }
-  return moved;
-}
-
 std::size_t CacheClient::MigrateRemote(int src, const KeyRange& range, int dst) {
   BinaryWriter w;
   w.PutU64(range.begin);
@@ -212,12 +183,6 @@ bool CacheClient::PutTo(int server, const std::string& id, HashKey key,
                         std::string_view data, EntryKind kind) {
   return PutAccepted(
       transport_.Call(self_, server, EncodePut(id, key, data, data.size(), kind)));
-}
-
-bool CacheClient::PutPlaceholderTo(int server, const std::string& id, HashKey key,
-                                   Bytes size, EntryKind kind) {
-  return PutAccepted(
-      transport_.Call(self_, server, EncodePut(id, key, {}, size, kind)));
 }
 
 CacheClient::RemoteInfo CacheClient::InfoFrom(int server) {

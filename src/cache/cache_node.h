@@ -51,17 +51,12 @@ class CacheClient {
   CacheValue FetchFrom(int server, const std::string& id,
                        EntryKind expected = EntryKind::kOutput);
 
-  /// Pull every entry of `server`'s cache whose key lies in `range` into
-  /// `into` (removing them from the peer). Returns entries moved. This is
-  /// the §II-E migration option for misplaced cached data after a range
-  /// shift; EclipseMR disables it by default, as the paper did for its
+  /// §II-E migration of misplaced cached data after a range shift: pull
+  /// every entry of `src`'s cache whose key lies in `range` (removing them
+  /// from `src`) and push each to `dst` (pipelined kPut batch). The entries
+  /// stream through the caller once. Returns entries accepted by `dst`.
+  /// EclipseMR disables migration by default, as the paper did for its
   /// experiments.
-  std::size_t MigrateRange(int server, const KeyRange& range, LruCache& into);
-
-  /// §II-E migration between two REMOTE caches (multi-process mode): pull
-  /// the range out of `src` and push each entry to `dst` (pipelined kPut
-  /// batch). The entries stream through the caller once; nothing lands in a
-  /// local cache. Returns entries accepted by `dst`.
   std::size_t MigrateRemote(int src, const KeyRange& range, int dst);
 
   // -- Remote-data-plane operations (multi-process deployment). ------------
@@ -73,8 +68,6 @@ class CacheClient {
   /// Insert into `server`'s cache. Returns false if rejected or unreachable.
   bool PutTo(int server, const std::string& id, HashKey key,
              std::string_view data, EntryKind kind);
-  bool PutPlaceholderTo(int server, const std::string& id, HashKey key,
-                        Bytes size, EntryKind kind);
 
   /// Point-in-time remote cache introspection (stats aggregation and the
   /// Prometheus per-server gauges).

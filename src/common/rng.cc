@@ -24,15 +24,6 @@ double Rng::NextGaussian() {
   return r * std::cos(theta);
 }
 
-double Rng::NextExponential(double rate) {
-  assert(rate > 0.0);
-  double u;
-  do {
-    u = NextDouble();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
   assert(n > 0);
   cdf_.resize(n);

@@ -39,9 +39,6 @@ class Rng {
     return mean + stddev * NextGaussian();
   }
 
-  /// Exponential with given rate.
-  double NextExponential(double rate);
-
  private:
   std::uint64_t state_;
   bool have_spare_ = false;

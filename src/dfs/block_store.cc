@@ -67,8 +67,7 @@ std::vector<BlockStore::BlockInfo> BlockStore::List() const {
   out.reserve(blocks_.size());
   for (const auto& [id, b] : blocks_) {
     if (Expired(b)) continue;
-    bool transient = b.expiry != std::chrono::steady_clock::time_point{};
-    out.push_back(BlockInfo{id, b.key, b.data.size(), transient});
+    out.push_back(BlockInfo{id, b.key, b.data.size()});
   }
   return out;
 }

@@ -1,7 +1,7 @@
 // A worker server's local block storage ("its local disks").
 //
 // Holds primary blocks, replica blocks, and persisted intermediate results
-// (which carry a TTL and are not replicated by default, §II-C). Thread-safe;
+// (which may carry a TTL and are not replicated by default, §II-C). Thread-safe;
 // accessed concurrently by the node's RPC handler and by local map/reduce
 // tasks.
 #pragma once
@@ -41,13 +41,12 @@ class BlockStore {
   bool Contains(const std::string& id) const;
   void Erase(const std::string& id);
 
-  /// (id, hash key, size) of every live block — recovery enumerates these to
-  /// restore the replication factor after a failure.
+  /// (id, hash key, size) of every live block — recovery finds the holders
+  /// of each file block in these lists after a failure.
   struct BlockInfo {
     std::string id;
     HashKey key;
     Bytes size;
-    bool transient;  // TTL-bearing (intermediate result): not re-replicated
   };
   std::vector<BlockInfo> List() const;
 

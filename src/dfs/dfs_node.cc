@@ -288,7 +288,6 @@ net::Message DfsNode::Handle(int from, const net::Message& m) {
         w.PutString(info.id);
         w.PutU64(info.key);
         w.PutU64(info.size);
-        w.PutU8(info.transient ? 1 : 0);
       }
       return Ok(w.Take());
     }

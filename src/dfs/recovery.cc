@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <unordered_map>
 
 #include "common/log.h"
+#include "dfs/metadata.h"
 
 namespace eclipse::dfs {
 
@@ -16,21 +19,25 @@ RecoveryReport FsRecovery::Repair(std::size_t replication, bool drop_extraneous)
   static const dht::Ring kNoRing;
   const dht::Ring& ring = ring_snap ? *ring_snap : kNoRing;
 
-  struct Item {
-    HashKey key = 0;
-    std::vector<int> holders;
-  };
-  std::map<std::string, Item> blocks;    // durable blocks only
-  std::map<std::string, Item> metadata;  // keyed by file name
-
   auto call = [&](int to, const net::Message& m) -> Result<net::Message> {
     auto resp = transport_.Call(self_, to, m);
     if (!resp.ok()) return resp.status();
     if (net::IsError(resp.value())) return net::DecodeError(resp.value());
     return resp;
   };
+  auto has = [](const std::vector<int>& v, int x) {
+    return std::find(v.begin(), v.end(), x) != v.end();
+  };
 
-  // Inventory pass.
+  // Inventory: one block list and one metadata list per live server. The
+  // namespace is one decoded record per file name plus the servers holding
+  // it; the block lists give the holders of every object id.
+  struct File {
+    FileMetadata meta;
+    std::vector<int> holders;
+  };
+  std::map<std::string, File> files;
+  std::unordered_map<std::string, std::vector<int>> holders_of;
   for (int server : ring.Servers()) {
     auto list = call(server, net::Message{msg::kListBlocks, {}});
     if (list.ok()) {
@@ -40,14 +47,8 @@ RecoveryReport FsRecovery::Repair(std::size_t replication, bool drop_extraneous)
       for (std::uint32_t i = 0; i < n; ++i) {
         std::string id;
         std::uint64_t key, size;
-        std::uint8_t transient;
-        if (!r.GetString(&id) || !r.GetU64(&key) || !r.GetU64(&size) || !r.GetU8(&transient)) {
-          break;
-        }
-        if (transient) continue;
-        auto& item = blocks[id];
-        item.key = key;
-        item.holders.push_back(server);
+        if (!r.GetString(&id) || !r.GetU64(&key) || !r.GetU64(&size)) break;
+        holders_of[std::move(id)].push_back(server);
       }
     }
     auto metas = call(server, net::Message{msg::kListMetadata, {}});
@@ -58,56 +59,69 @@ RecoveryReport FsRecovery::Repair(std::size_t replication, bool drop_extraneous)
       for (std::uint32_t i = 0; i < n; ++i) {
         auto meta = FileMetadata::Deserialize(r);
         if (!meta.ok()) break;
-        auto& item = metadata[meta.value().name];
-        item.key = meta.value().MetaKey();
-        item.holders.push_back(server);
+        File& file = files[meta.value().name];
+        if (file.holders.empty()) file.meta = std::move(meta.value());
+        file.holders.push_back(server);
       }
     }
   }
 
-  auto has = [](const std::vector<int>& v, int x) {
-    return std::find(v.begin(), v.end(), x) != v.end();
-  };
+  // Metadata: the record goes to each replica target that lacks it.
+  for (const auto& [name, file] : files) {
+    BinaryWriter w;
+    file.meta.Serialize(w);
+    const net::Message put{msg::kPutMetadata, w.Take()};
+    for (int target : ring.Replicas(file.meta.MetaKey(), replication)) {
+      if (!has(file.holders, target) && call(target, put).ok()) ++report.metadata_copied;
+    }
+  }
 
-  // Repair blocks: copy from any holder to each missing target replica.
-  for (const auto& [id, item] : blocks) {
-    auto targets = ring.Replicas(item.key, replication);
-    bool complete = true;
-    for (int target : targets) {
-      if (has(item.holders, target)) continue;
-      // Fetch from a surviving holder.
-      std::string data;
-      bool got = false;
-      for (int holder : item.holders) {
-        BinaryWriter w;
-        w.PutString(id);
-        auto resp = call(holder, net::Message{msg::kGetBlock, w.Take()});
-        if (resp.ok()) {
-          data = std::move(resp.value().payload);
-          got = true;
+  // Blocks: each of a file's num_blocks blocks goes from a live holder to
+  // each replica target that lacks it.
+  static const std::vector<int> kNoHolders;
+  auto fetch = [&](const std::string& id,
+                   const std::vector<int>& holders) -> std::optional<std::string> {
+    BinaryWriter w;
+    w.PutString(id);
+    const net::Message get{msg::kGetBlock, w.Take()};
+    for (int holder : holders) {
+      auto resp = call(holder, get);
+      if (resp.ok()) return std::move(resp.value().payload);
+    }
+    return std::nullopt;
+  };
+  for (const auto& [name, file] : files) {
+    for (std::uint64_t b = 0; b < file.meta.num_blocks; ++b) {
+      const std::string id = BlockId(name, b);
+      const HashKey key = file.meta.KeyOfBlock(b);
+      auto it = holders_of.find(id);
+      const std::vector<int>& holders = it == holders_of.end() ? kNoHolders : it->second;
+      const std::vector<int> targets = ring.Replicas(key, replication);
+      std::optional<std::string> data;  // fetched for the first missing target
+      bool complete = true;
+      for (int target : targets) {
+        if (has(holders, target)) continue;
+        if (!data) data = fetch(id, holders);
+        if (!data) {
+          ++report.blocks_lost;
+          complete = false;
+          LOG_WARN << "block " << id << " unrecoverable: no surviving replica";
           break;
         }
+        BinaryWriter w;
+        w.PutString(id);
+        w.PutU64(key);
+        w.PutU64(0);  // no TTL
+        w.PutString(*data);
+        if (call(target, net::Message{msg::kPutBlock, w.Take()}).ok()) {
+          ++report.blocks_copied;
+        } else {
+          complete = false;
+        }
       }
-      if (!got) {
-        ++report.blocks_lost;
-        complete = false;
-        LOG_WARN << "block " << id << " unrecoverable: no surviving replica";
-        break;
-      }
-      BinaryWriter w;
-      w.PutString(id);
-      w.PutU64(item.key);
-      w.PutU64(0);
-      w.PutString(data);
-      if (call(target, net::Message{msg::kPutBlock, w.Take()}).ok()) {
-        ++report.blocks_copied;
-      } else {
-        complete = false;
-      }
-    }
-    if (drop_extraneous && complete) {
+      if (!drop_extraneous || !complete) continue;
       // Every target holds a copy: retire copies on ex-replica servers.
-      for (int holder : item.holders) {
+      for (int holder : holders) {
         if (has(targets, holder)) continue;
         BinaryWriter w;
         w.PutU32(1);
@@ -115,45 +129,6 @@ RecoveryReport FsRecovery::Repair(std::size_t replication, bool drop_extraneous)
         if (call(holder, net::Message{msg::kDeleteObjects, w.Take()}).ok()) {
           ++report.blocks_dropped;
         }
-      }
-    }
-  }
-
-  // Repair metadata the same way (records are tiny; re-fetch per target).
-  for (const auto& [name, item] : metadata) {
-    auto targets = ring.Replicas(item.key, replication);
-    for (int target : targets) {
-      if (has(item.holders, target)) continue;
-      // Any holder can serve the record via a local list; easiest correct
-      // path is to re-read it through GetMetadata semantics at a holder.
-      BinaryWriter req;
-      req.PutString(name);
-      req.PutString("");  // recovery runs as the superuser-less system; the
-                          // permission check only rejects non-owners, and a
-                          // holder returns public records to anyone — so
-                          // fetch via kListMetadata instead when private.
-      FileMetadata found;
-      bool got = false;
-      for (int holder : item.holders) {
-        auto resp = call(holder, net::Message{msg::kListMetadata, {}});
-        if (!resp.ok()) continue;
-        BinaryReader r(resp.value().payload);
-        std::uint32_t n = 0;
-        r.GetU32(&n);
-        for (std::uint32_t i = 0; i < n && !got; ++i) {
-          auto meta = FileMetadata::Deserialize(r);
-          if (meta.ok() && meta.value().name == name) {
-            found = meta.value();
-            got = true;
-          }
-        }
-        if (got) break;
-      }
-      if (!got) continue;
-      BinaryWriter w;
-      found.Serialize(w);
-      if (call(target, net::Message{msg::kPutMetadata, w.Take()}).ok()) {
-        ++report.metadata_copied;
       }
     }
   }

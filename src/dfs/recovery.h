@@ -3,12 +3,15 @@
 // Paper §II-A: "If a server fails, the resource manager reconstructs the
 // lost file blocks in a take-over server using the replicated data blocks."
 // After membership removes a failed server, every key it owned is owned by
-// its successor, and replica sets shift — this pass walks the survivors'
-// inventories and copies whatever is missing so each durable block and
-// metadata record is back at the configured replication factor.
+// its successor, and replica sets shift — this pass reads the namespace the
+// survivors hold and copies whatever is missing so each file's metadata
+// record and each of its blocks is back at the configured replication
+// factor.
 //
-// TTL-bearing (transient) blocks — persisted intermediate results — are not
-// replicated by default (§II-C) and are therefore skipped.
+// Only files are restored. Every other object (spills, manifests, iteration
+// checkpoints) keeps the replication it was written with: intermediate
+// results are not replicated by default (§II-C), and a lost one is rebuilt
+// by re-running its producer.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +23,7 @@ namespace eclipse::dfs {
 struct RecoveryReport {
   std::size_t blocks_copied = 0;
   std::size_t metadata_copied = 0;
-  std::size_t blocks_lost = 0;     // durable blocks with no surviving replica
+  std::size_t blocks_lost = 0;     // file blocks no live server holds
   std::size_t blocks_dropped = 0;  // extraneous copies removed (join rebalance)
 };
 
@@ -30,11 +33,12 @@ class FsRecovery {
   /// must already reflect the post-failure membership.
   FsRecovery(int self, net::Transport& transport, RingProvider ring_provider);
 
-  /// Scan every live server's block and metadata inventory and restore the
-  /// replication factor. With `drop_extraneous` (the server-join rebalance
-  /// mode, §II: the resource manager also handles joins), copies held by
-  /// servers that are no longer in an item's replica set are deleted once
-  /// every target has one — so ownership follows the ring as it grows.
+  /// List every live server's blocks and metadata once, then put each file's
+  /// metadata record and its num_blocks blocks on every replica target that
+  /// lacks them. With `drop_extraneous` (the server-join rebalance mode, §II:
+  /// the resource manager also handles joins), a file block's copies on
+  /// servers that are no longer in its replica set are deleted once every
+  /// target has one — so ownership follows the ring as it grows.
   RecoveryReport Repair(std::size_t replication = 3, bool drop_extraneous = false);
 
  private:

@@ -18,6 +18,19 @@ namespace {
 // scope, and metrics label — letting one capture hold several jobs (even
 // from several clusters) and still attribute tasks to the right one.
 std::atomic<std::uint64_t> g_job_seq{0};
+
+WorkerOptions WorkerOptionsFor(const ClusterOptions& o) {
+  WorkerOptions w;
+  w.map_slots = o.map_slots;
+  w.reduce_slots = o.reduce_slots;
+  w.cache_capacity = o.cache_capacity;
+  w.dfs_client.default_block_size = o.block_size;
+  w.dfs_client.replication = o.replication;
+  w.dfs_client.user = o.user;
+  w.dfs_client.retry = o.rpc_retry;
+  w.remote = o.deployment != nullptr;
+  return w;
+}
 }  // namespace
 
 std::uint64_t Cluster::NextJobId() { return g_job_seq.fetch_add(1) + 1; }
@@ -67,15 +80,7 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
 
   dfs::RingProvider ring_provider = [this] { return ring_snapshot(); };
 
-  WorkerOptions wopts;
-  wopts.map_slots = options_.map_slots;
-  wopts.reduce_slots = options_.reduce_slots;
-  wopts.cache_capacity = options_.cache_capacity;
-  wopts.dfs_client.default_block_size = options_.block_size;
-  wopts.dfs_client.replication = options_.replication;
-  wopts.dfs_client.user = options_.user;
-  wopts.dfs_client.retry = options_.rpc_retry;
-  wopts.remote = options_.deployment != nullptr;
+  const WorkerOptions wopts = WorkerOptionsFor(options_);
 
   for (const auto& [user, weight] : options_.user_weights) {
     arbiter_.SetWeight(user, weight);
@@ -104,7 +109,7 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
         agents_.back()->SetRing(initial);
       }
       for (auto& agent : agents_) {
-        agent->OnFailure([this](int failed) { HandleMembershipFailure(failed); });
+        agent->OnFailure([this](int failed) { Depart(failed); });
       }
       for (auto& agent : agents_) agent->Start();
     }
@@ -117,21 +122,8 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
   RebuildSchedulers();
 
   if (options_.deployment) {
-    options_.deployment->OnWorkerFailure([this](int failed) {
-      // The heartbeat monitor already dropped the peer route; mirror the
-      // in-process agents' failure path (mark dead, shrink ring, recover).
-      WorkerServer* w = nullptr;
-      {
-        MutexLock lock(workers_mu_);
-        if (failed >= 0 && static_cast<std::size_t>(failed) < workers_.size()) {
-          w = workers_[static_cast<std::size_t>(failed)].get();
-        }
-      }
-      if (!w || w->dead()) return;
-      w->Kill();
-      arbiter_.RemoveWorker(failed);
-      HandleMembershipFailure(failed);
-    });
+    // The heartbeat monitor already dropped the peer route.
+    options_.deployment->OnWorkerFailure([this](int failed) { Depart(failed); });
     options_.deployment->StartHeartbeatMonitor();
   }
 
@@ -226,16 +218,6 @@ std::vector<int> Cluster::WorkerIds() const {
   return out;
 }
 
-std::shared_ptr<sched::LafScheduler> Cluster::laf() const {
-  MutexLock lock(sched_mu_);
-  return epoch_->laf;
-}
-
-std::shared_ptr<sched::DelayScheduler> Cluster::delay() const {
-  MutexLock lock(sched_mu_);
-  return epoch_->delay;
-}
-
 std::shared_ptr<const SchedulerEpoch> Cluster::CurrentEpoch() const {
   MutexLock lock(sched_mu_);
   return epoch_;
@@ -272,20 +254,30 @@ dfs::RecoveryReport Cluster::KillServer(int id) {
   // Multi-process: tell the worker process to exit (its in-memory blocks die
   // with it, exactly like a crashed machine) before dropping our route.
   if (options_.deployment) options_.deployment->ShutdownWorker(id);
-  worker(id).Kill();
+  return Depart(id);
+}
+
+dfs::RecoveryReport Cluster::Depart(int id) {
+  // Every surviving agent reports the same failure, and an operator's kill
+  // may race them: only the caller that takes the worker off the ring below
+  // goes on, and a report for a worker already off it ends here.
+  if (!ring_snapshot()->Contains(id)) return {};
+  WorkerServer& w = worker(id);
+  if (!w.dead()) w.Kill();
   arbiter_.RemoveWorker(id);  // attempts queued for its slots fail over elsewhere
   {
     MutexLock lock(ring_mu_);
+    if (!ring_.Contains(id)) return {};
     ring_.RemoveServer(id);
     ring_snapshot_ = std::make_shared<const dht::Ring>(ring_);
   }
   RebuildSchedulers();
   // The resource manager's take-over pass (§II-A): restore the replication
-  // factor using the surviving replicas.
+  // factor of every file using the surviving replicas.
   dfs::FsRecovery recovery(ClientEndpointId(), *transport_raw_,
                            [this] { return ring_snapshot(); });
   auto report = recovery.Repair(options_.replication);
-  LOG_INFO << "recovery after killing server " << id << ": " << report.blocks_copied
+  LOG_INFO << "recovery after server " << id << " left: " << report.blocks_copied
            << " blocks copied, " << report.blocks_lost << " lost";
   metrics_.GetCounter("cluster.recoveries").Add();
   metrics_.GetCounter("cluster.blocks_rereplicated").Add(report.blocks_copied);
@@ -293,34 +285,8 @@ dfs::RecoveryReport Cluster::KillServer(int id) {
   return report;
 }
 
-void Cluster::HandleMembershipFailure(int failed) {
-  {
-    MutexLock lock(ring_mu_);
-    if (!ring_.Contains(failed)) return;  // already handled (every surviving
-                                          // agent reports the same failure)
-    ring_.RemoveServer(failed);
-    ring_snapshot_ = std::make_shared<const dht::Ring>(ring_);
-  }
-  arbiter_.RemoveWorker(failed);
-  RebuildSchedulers();
-  dfs::FsRecovery recovery(ClientEndpointId(), *transport_raw_,
-                           [this] { return ring_snapshot(); });
-  auto report = recovery.Repair(options_.replication);
-  LOG_INFO << "auto-recovery after heartbeat-detected failure of server " << failed << ": "
-           << report.blocks_copied << " blocks copied, " << report.blocks_lost << " lost";
-}
-
 int Cluster::AddServer(dfs::RecoveryReport* report) {
-  WorkerOptions wopts;
-  wopts.map_slots = options_.map_slots;
-  wopts.reduce_slots = options_.reduce_slots;
-  wopts.cache_capacity = options_.cache_capacity;
-  wopts.dfs_client.default_block_size = options_.block_size;
-  wopts.dfs_client.replication = options_.replication;
-  wopts.dfs_client.user = options_.user;
-  wopts.dfs_client.retry = options_.rpc_retry;
-  wopts.remote = options_.deployment != nullptr;
-
+  const WorkerOptions wopts = WorkerOptionsFor(options_);
   dfs::RingProvider ring_provider = [this] { return ring_snapshot(); };
   if (options_.deployment) {
     // Adopt a freshly started eclipse-worker process: it must complete the
@@ -377,7 +343,7 @@ int Cluster::AddServer(dfs::RecoveryReport* report) {
       }
     }
     if (!joined) agent->SetRing(ring());
-    agent->OnFailure([this](int failed) { HandleMembershipFailure(failed); });
+    agent->OnFailure([this](int failed) { Depart(failed); });
     agent->Start();
   }
 

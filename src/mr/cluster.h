@@ -169,8 +169,9 @@ class Cluster {
   WorkerServer& worker(int id);
   std::vector<int> WorkerIds() const;
 
-  /// Crash a worker: detaches it, updates the ring, rebuilds schedulers, and
-  /// (synchronously) re-replicates under-replicated files via FsRecovery.
+  /// Crash a worker (in deployment mode its process is asked to exit first),
+  /// then run the departure every failure detector runs: see Depart. A
+  /// worker already off the ring returns an empty report.
   dfs::RecoveryReport KillServer(int id);
 
   /// Grow the cluster: boot a fresh worker, place it on the ring, rebuild
@@ -198,12 +199,6 @@ class Cluster {
   /// last value pushed). No-op without a deployment or controller.
   void SyncDiskDelays();
 
-  // Snapshot of the current epoch's scheduler (RebuildSchedulers may publish
-  // a fresh epoch at any time; the returned object stays valid but may
-  // become stale).
-  std::shared_ptr<sched::LafScheduler> laf() const;
-  std::shared_ptr<sched::DelayScheduler> delay() const;
-
   /// The cache-layer partition currently in force (LAF's dynamic ranges or
   /// Delay's static ones).
   RangeTable CacheRanges() const;
@@ -226,10 +221,15 @@ class Cluster {
   friend class JobRunner;
 
   void RebuildSchedulers();
-  /// Heartbeat-driven failure path (start_membership): invoked from agent
-  /// callbacks when a worker is declared dead — mirrors KillServer's
-  /// bookkeeping and re-replication without an operator in the loop.
-  void HandleMembershipFailure(int failed);
+  /// The one path by which a worker leaves: KillServer, a membership
+  /// agent's verdict and the deployment coordinator's heartbeat monitor all
+  /// call it. It marks the worker dead, withdraws its slots, takes it off the
+  /// ring, rebuilds the schedulers, restores every file's replication
+  /// (FsRecovery::Repair) and counts cluster.recoveries,
+  /// cluster.blocks_rereplicated and cluster.blocks_lost. Safe to call from
+  /// several threads for one worker: only the first call that finds it on
+  /// the ring does the work, the others return an empty report.
+  dfs::RecoveryReport Depart(int id);
   /// Point the worker's BlockStore op hook at the fault controller's
   /// slow-disk delay (no-op without a controller).
   void WireSlowDisk(WorkerServer& w);

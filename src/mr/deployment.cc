@@ -90,7 +90,6 @@ net::Message DeploymentCoordinator::HandleHello(const net::Message& m) {
   welcome.cache_capacity = opts_.cache_capacity;
   welcome.replication = opts_.replication;
   welcome.vnodes = opts_.vnodes;
-  welcome.finger_entries = opts_.finger_entries;
   // Ring + epoch arrive via kRingUpdate once the Cluster builds: a worker
   // that joins before the cluster exists has no ring to receive yet.
   obs::Tracer::Global().Emit('i', "deploy", "worker_hello", obs::kDriverPid,

@@ -48,7 +48,6 @@ struct DeploymentOptions {
   std::uint64_t cache_capacity = 64ull << 20;
   std::uint32_t replication = 3;
   std::uint32_t vnodes = 1;
-  std::uint32_t finger_entries = 0;
 
   net::TcpTransport::Options transport;
 };

@@ -148,11 +148,6 @@ void JobQueue::UpdateDemandLocked(const std::string& user, double delta_us) {
   cluster_.arbiter().SetPredictedDemand(user, demand);
 }
 
-std::size_t JobQueue::Pending() const {
-  MutexLock lock(mu_);
-  return pending_.size();
-}
-
 std::size_t JobQueue::Running() const {
   MutexLock lock(mu_);
   return running_;

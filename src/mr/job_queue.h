@@ -121,8 +121,6 @@ class JobQueue {
   /// and the mr.jobs_rejected{user} counter. A cold predictor admits.
   JobHandle Submit(JobSpec spec);
 
-  /// Jobs submitted but not yet picked up by a runner thread.
-  std::size_t Pending() const;
   /// Jobs currently executing. A job counts until its runner has deleted
   /// its spills, which for a successful job is after its handle completes.
   std::size_t Running() const;

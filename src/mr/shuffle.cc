@@ -246,7 +246,7 @@ Status ShuffleWriter::Add(std::string_view key, std::string_view value) {
   if (begins_.empty()) {
     return Status::Error(ErrorCode::kInternal, "no FS range covers intermediate key");
   }
-  HashKey hk = key_memo_.Get(key);
+  HashKey hk = KeyOf(key);
   std::size_t idx = RouteToRange(begins_, hk);
   if (!ranges_[idx].Contains(hk)) {
     // Only reachable if the table did not tile the ring (Assign forbids it).

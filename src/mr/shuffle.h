@@ -27,9 +27,7 @@
 // only the distinct keys are sorted; no per-key node or string.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -146,44 +144,6 @@ void SortRunByKey(std::vector<KV>& run);
 /// sort of the runs' concatenation. The pairs are moved out of `runs`.
 void MergeRuns(std::vector<std::vector<KV>>& runs, std::vector<KV>* out);
 
-/// Direct-mapped memo of key → ring digest. Intermediate keys repeat
-/// heavily (Zipf words, graph vertex ids, cluster ids), and the SHA-1 ring
-/// digest is by far the most expensive per-record step in Add — one
-/// compression round per call. The memo stores the key bytes inline and
-/// compares them exactly, so a slot collision can never misroute a record
-/// (it just recomputes); keys longer than the inline buffer bypass the
-/// memo. No heap allocation anywhere: 16 KiB of inline slots per writer.
-class KeyMemo {
- public:
-  ECLIPSE_HOT_PATH HashKey Get(std::string_view key) {
-    if (key.size() > kMaxLen) return KeyOf(key);
-    std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 slot index
-    for (char c : key) {
-      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-    }
-    Entry& e = slots_[h & (kSlots - 1)];
-    if (e.len == key.size() &&
-        std::memcmp(e.bytes, key.data(), key.size()) == 0) {
-      return e.hk;
-    }
-    HashKey hk = KeyOf(key);
-    e.len = static_cast<std::uint8_t>(key.size());
-    std::memcpy(e.bytes, key.data(), key.size());
-    e.hk = hk;
-    return hk;
-  }
-
- private:
-  static constexpr std::size_t kSlots = 512;  // power of two (mask below)
-  static constexpr std::size_t kMaxLen = 23;
-  struct Entry {
-    std::uint8_t len = 255;  // never equals a real key length <= kMaxLen
-    char bytes[kMaxLen];
-    HashKey hk = 0;
-  };
-  std::array<Entry, kSlots> slots_{};
-};
-
 class ShuffleWriter {
  public:
   /// `prefix` scopes spill ids ("im/<job-or-tag>/b<block>"); spills are
@@ -235,7 +195,6 @@ class ShuffleWriter {
   std::vector<KeyRange> ranges_;
   std::vector<RangeBuffer> buffers_;
   std::vector<SpillInfo> spills_;
-  KeyMemo key_memo_;     // skips SHA-1 for repeated intermediate keys
   BinaryWriter encode_;  // backing buffer borrowed from BufferPool::Global
 };
 

@@ -55,7 +55,8 @@ bool WorkerServer::CachePut(const std::string& id, HashKey key,
 }
 
 std::size_t WorkerServer::CacheMigrateFrom(int neighbor, const KeyRange& range) {
-  if (cache_node_) return cache_client_->MigrateRange(neighbor, range, cache_node_->local());
+  // An in-process node answers kCollect and kPut on the cluster transport
+  // too, so both modes take the same path.
   return cache_client_->MigrateRemote(neighbor, range, id_);
 }
 

@@ -74,8 +74,8 @@ class WorkerServer {
   bool CachePut(const std::string& id, HashKey key, cache::CacheValue data,
                 cache::EntryKind kind);
   /// §II-E migration pull: move `range` out of `neighbor`'s cache into this
-  /// worker's. Remote mode streams the entries through the coordinator
-  /// (collect from neighbor, pipelined puts to this worker's process).
+  /// worker's. The entries stream through the caller (collect from the
+  /// neighbor, pipelined puts to this worker's node), in both modes.
   std::size_t CacheMigrateFrom(int neighbor, const KeyRange& range);
   /// Point-in-time stats + occupancy (one RPC in remote mode). `ok` is false
   /// only when a remote peer is unreachable.

@@ -100,20 +100,8 @@ bool WorkerHost::Start() {
   });
 
   {
-    auto initial = std::make_shared<dht::Ring>();
-    for (const auto& rp : welcome.ring) initial->AddServerAt(rp.server, rp.position);
     MutexLock lock(mu_);
-    ring_snapshot_ = std::move(initial);
     scheduler_epoch_ = welcome.scheduler_epoch;
-  }
-  if (welcome.finger_entries > 0) {
-    dfs_node_->EnableRouting(
-        transport_,
-        [this]() -> dfs::RingSnapshot {
-          MutexLock lock(mu_);
-          return ring_snapshot_;
-        },
-        welcome.finger_entries);
   }
   for (const auto& p : welcome.peers) {
     if (p.node != node_) transport_.AddPeer(p.node, p.host, p.port);
@@ -151,10 +139,7 @@ net::Message WorkerHost::HandleControl(int from, const net::Message& m) {
       if (!deploy::DecodeRingUpdate(m, &update)) {
         return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad ring update");
       }
-      auto ring = std::make_shared<dht::Ring>();
-      for (const auto& rp : update.ring) ring->AddServerAt(rp.server, rp.position);
       MutexLock lock(mu_);
-      ring_snapshot_ = std::move(ring);
       scheduler_epoch_ = update.scheduler_epoch;
       return deploy::EncodeOk();
     }

@@ -14,9 +14,9 @@
 //             finishes the response instead of slamming the socket.
 //
 // Control messages (the 500-599 deploy band) arrive on the same data
-// endpoint: kRingUpdate (membership snapshot for routed DFS gets),
-// kPeerUpdate (worker-to-worker address directory), kSetDiskDelay (fault
-// injection for chaos drills), kShutdown.
+// endpoint: kRingUpdate (the ring and scheduler epoch of a membership
+// change; the host keeps the epoch), kPeerUpdate (worker-to-worker address
+// directory), kSetDiskDelay (fault injection for chaos drills), kShutdown.
 //
 // Compute never ships here: JobSpec holds C++ closures, so map/reduce
 // execution stays in the coordinator process and only data-plane bytes
@@ -32,7 +32,6 @@
 #include "cache/cache_node.h"
 #include "common/mutex.h"
 #include "dfs/dfs_node.h"
-#include "dht/ring.h"
 #include "net/bootstrap.h"
 #include "net/tcp_transport.h"
 
@@ -111,7 +110,6 @@ class WorkerHost {
   bool shutdown_ GUARDED_BY(mu_) = false;
   bool hb_stop_ GUARDED_BY(mu_) = false;
   std::uint64_t scheduler_epoch_ GUARDED_BY(mu_) = 0;
-  std::shared_ptr<const dht::Ring> ring_snapshot_ GUARDED_BY(mu_);
 
   std::atomic<std::int64_t> disk_delay_us_{0};
   std::atomic<bool> stop_requested_{false};

@@ -76,7 +76,6 @@ Message EncodeWelcome(const Welcome& welcome) {
   w.PutU64(welcome.cache_capacity);
   w.PutU32(welcome.replication);
   w.PutU32(welcome.vnodes);
-  w.PutU32(welcome.finger_entries);
   w.PutU64(welcome.scheduler_epoch);
   PutRing(w, welcome.ring);
   PutPeers(w, welcome.peers);
@@ -89,7 +88,7 @@ bool DecodeWelcome(const Message& m, Welcome* out) {
   std::uint32_t node;
   if (!r.GetU32(&node) || !r.GetU64(&out->cache_capacity) ||
       !r.GetU32(&out->replication) || !r.GetU32(&out->vnodes) ||
-      !r.GetU32(&out->finger_entries) || !r.GetU64(&out->scheduler_epoch) ||
+      !r.GetU64(&out->scheduler_epoch) ||
       !GetRing(r, &out->ring) || !GetPeers(r, &out->peers))
     return false;
   out->node = static_cast<std::int32_t>(node);

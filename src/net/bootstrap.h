@@ -43,7 +43,7 @@ inline constexpr std::uint32_t kProtocolMagic = 0x45'43'4C'50;  // "ECLP"
 
 /// Bumped on any wire-format change. A worker and coordinator from
 /// different builds refuse to pair (kReject) instead of corrupting state.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Well-known node id of the coordinator's bootstrap endpoint — outside the
 /// worker id space (workers are 0..N-1; the external DFS client is
@@ -95,8 +95,6 @@ struct Welcome {
   std::uint64_t cache_capacity = 0;
   std::uint32_t replication = 0;
   std::uint32_t vnodes = 0;
-  /// DfsNode routing-table size (0 = multi-hop routing disabled).
-  std::uint32_t finger_entries = 0;
   std::uint64_t scheduler_epoch = 0;
   std::vector<RingPosition> ring;
   std::vector<PeerEntry> peers;

@@ -121,12 +121,6 @@ void TcpTransport::BindTransportMetrics(MetricsRegistry& registry,
   pool_.BindMetrics(registry, label);
 }
 
-void TcpTransport::UnbindTransportMetrics() {
-  UnbindMetrics();
-  server_.UnbindMetrics();
-  pool_.UnbindMetrics();
-}
-
 bool TcpTransport::Resolve(NodeId to, Addr* out) const {
   int port = server_.PortOf(to);
   if (port > 0) {

@@ -89,10 +89,6 @@ class TcpTransport : public Transport {
   /// a fault-injection wrapper can own the per-call series while the raw
   /// transport still exports its internals.
   void BindTransportMetrics(MetricsRegistry& registry, const char* label);
-  /// Drop the base + server/pool counter pointers; required when this
-  /// transport outlives the registry (the borrowed-transport deployment
-  /// case — see Transport::UnbindMetrics).
-  void UnbindTransportMetrics();
 
  private:
   struct Addr {

@@ -70,12 +70,6 @@ void SlotArbiter::SetPredictedDemand(const std::string& user, double demand_us) 
   }
 }
 
-double SlotArbiter::PredictedDemand(const std::string& user) const {
-  MutexLock lock(mu_);
-  auto it = users_.find(user);
-  return it == users_.end() ? 0.0 : it->second.demand_us;
-}
-
 double SlotArbiter::Share(const UserShare& u) const {
   // Deadline bias (see SetPredictedDemand): less predicted remaining work →
   // larger effective weight → smaller share → wins contended slots sooner.

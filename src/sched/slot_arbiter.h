@@ -90,9 +90,6 @@ class SlotArbiter {
   /// the static-weight arbiter until predictions flow.
   void SetPredictedDemand(const std::string& user, double demand_us);
 
-  /// Currently reported demand for `user` (µs; 0 when none).
-  double PredictedDemand(const std::string& user) const;
-
   /// Queue `run` for a slot of `kind` on `worker` on behalf of `user` (see
   /// RunFn for how it is called). Either token pointer may be null; a token
   /// must outlive the entry. Callers that set a token Poke() the arbiter so

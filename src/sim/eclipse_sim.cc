@@ -37,17 +37,6 @@ void EclipseSim::ResetCaches() {
   }
 }
 
-double EclipseSim::OverallHitRatio() const {
-  std::uint64_t hits = 0, misses = 0;
-  for (const auto& c : caches_) {
-    auto s = c->stats();
-    hits += s.hits;
-    misses += s.misses;
-  }
-  auto total = hits + misses;
-  return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-}
-
 EclipseSim::MapPlacement EclipseSim::PlaceMapTask(HashKey key, SimTime submit) {
   if (kind_ == mr::SchedulerKind::kLaf) {
     // LAF never waits: equal-probability ranges keep the queues level

@@ -39,9 +39,6 @@ class EclipseSim {
 
   void ResetCaches();
 
-  /// Aggregate hit ratio since construction/reset.
-  double OverallHitRatio() const;
-
   const SimConfig& config() const { return config_; }
   sched::LafScheduler* laf() { return laf_.get(); }
 

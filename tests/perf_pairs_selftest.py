@@ -8,6 +8,7 @@ benchmark.
 import os
 import random
 import sys
+import tempfile
 import unittest
 
 sys.dont_write_bytecode = True
@@ -132,6 +133,18 @@ class PerfPairsTest(unittest.TestCase):
         self.assertEqual(failures, [])
         self.assertEqual(table_row(lines, "sort_cold", "job_ms_p50")[5], "10/10")
         self.assertIn("holds for: sort_cold job_ms_p50", lines[-1])
+
+    def test_src_lines_counts_headers_and_sources_under_src_only(self):
+        with tempfile.TemporaryDirectory() as tree:
+            files = {"src/a.h": "1\n2\n3\n", "src/sub/b.cc": "x\ny\n",
+                     "src/notes.txt": "ignored\n", "src/c.cpp": "ignored\n",
+                     "tests/d.cc": "outside src\n"}
+            for path, text in files.items():
+                os.makedirs(os.path.dirname(os.path.join(tree, path)), exist_ok=True)
+                with open(os.path.join(tree, path), "w") as f:
+                    f.write(text)
+            self.assertEqual(perf_pairs.src_lines(tree), 5)
+            self.assertEqual(perf_pairs.src_lines(os.path.join(tree, "tests")), 0)
 
     def test_claim_needs_a_gap_wider_than_the_parent_iqr(self):
         # Every pair won by 1 %, far less than the parent's spread.

@@ -55,20 +55,22 @@ TEST(BlockStore, SweepDropsExpiredOnly) {
   EXPECT_EQ(store.Count(), 1u);
 }
 
-TEST(BlockStore, ListReportsTransience) {
+TEST(BlockStore, ListSkipsExpiredBlocks) {
   BlockStore store;
   store.Put("durable", 10, "abcd");
   store.Put("temp", 20, "ef", 10min);
+  store.Put("gone", 30, "g", 10ms);
+  std::this_thread::sleep_for(30ms);
   auto infos = store.List();
   ASSERT_EQ(infos.size(), 2u);
   for (const auto& info : infos) {
     if (info.id == "durable") {
-      EXPECT_FALSE(info.transient);
       EXPECT_EQ(info.size, 4u);
       EXPECT_EQ(info.key, 10u);
     } else {
       EXPECT_EQ(info.id, "temp");
-      EXPECT_TRUE(info.transient);
+      EXPECT_EQ(info.size, 2u);
+      EXPECT_EQ(info.key, 20u);
     }
   }
 }

@@ -1,12 +1,16 @@
 // The cluster's state is bounded by the jobs in flight, not by every job
 // ever run: a finished job's private spills leave the DHT FS and its
 // per-job metric series age out, so a long job stream leaves the stores
-// and the registry flat, and a repair copies only what a fresh cluster
-// would copy.
+// and the registry flat. A repair restores files only, so it copies what a
+// fresh cluster would copy whatever jobs ran or are running.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 
+#include "apps/sort.h"
 #include "apps/wordcount.h"
 #include "common/rng.h"
 #include "mr/cluster.h"
@@ -74,8 +78,10 @@ TEST(BoundedState, RepairAfterJobsCopiesWhatAFreshClusterCopies) {
   const std::string text = MakeText(5, 8_KiB);
   mr::Cluster fresh(opts);
   mr::Cluster used(opts);
+  mr::Cluster tagged(opts);
   ASSERT_TRUE(fresh.dfs().Upload("corpus", text).ok());
   ASSERT_TRUE(used.dfs().Upload("corpus", text).ok());
+  ASSERT_TRUE(tagged.dfs().Upload("corpus", text).ok());
   for (int n = 0; n < 20; ++n) {
     mr::JobSpec spec = apps::WordCountJob("scratch", "corpus");
     spec.spill_threshold = 256;  // many spills per job
@@ -83,14 +89,107 @@ TEST(BoundedState, RepairAfterJobsCopiesWhatAFreshClusterCopies) {
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     ASSERT_GT(r.stats.spills, 0u);
   }
+  // Tagged jobs keep their spills and manifests for reuse (§II-C).
+  for (mr::JobSpec spec : {apps::WordCountJob("wc", "corpus"), apps::SortJob("sort", "corpus")}) {
+    spec.intermediate_tag = "keep-" + spec.name;
+    spec.spill_threshold = 256;
+    const mr::JobResult r = tagged.Run(spec);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  }
+  ASSERT_GT(Measure(tagged).objects, Measure(fresh).objects) << "no objects left to copy";
 
   constexpr int kVictim = 1;
   const dfs::RecoveryReport after_nothing = fresh.KillServer(kVictim);
   const dfs::RecoveryReport after_jobs = used.KillServer(kVictim);
+  const dfs::RecoveryReport after_tagged = tagged.KillServer(kVictim);
   EXPECT_GT(after_nothing.blocks_copied, 0u);
   EXPECT_EQ(after_jobs.blocks_copied, after_nothing.blocks_copied)
       << "the repair copied finished jobs' spills";
   EXPECT_EQ(after_jobs.blocks_lost, 0u);
+  EXPECT_EQ(after_tagged.blocks_copied, after_nothing.blocks_copied)
+      << "the repair copied tagged spills or manifests";
+  EXPECT_EQ(after_tagged.blocks_lost, 0u);
+}
+
+/// Holds every reduce call until Open(), so a test can act while a job's
+/// reduces run and every spill of the job still exists.
+class ReduceGate {
+ public:
+  void Enter() {
+    std::unique_lock lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  bool WaitEntered(std::chrono::seconds budget) {
+    std::unique_lock lock(mu_);
+    return cv_.wait_for(lock, budget, [this] { return entered_; });
+  }
+  void Open() {
+    std::lock_guard lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
+
+class GatedReducer : public mr::Reducer {
+ public:
+  GatedReducer(ReduceGate& gate, std::unique_ptr<mr::Reducer> inner)
+      : gate_(gate), inner_(std::move(inner)) {}
+  void Reduce(std::string_view key, const std::vector<std::string_view>& values,
+              mr::ReduceContext& ctx) override {
+    gate_.Enter();
+    inner_->Reduce(key, values, ctx);
+  }
+
+ private:
+  ReduceGate& gate_;
+  std::unique_ptr<mr::Reducer> inner_;
+};
+
+TEST(BoundedState, RepairDuringAJobCopiesWhatAFreshClusterCopies) {
+  mr::ClusterOptions opts;
+  opts.num_servers = 4;
+  opts.block_size = 512;
+  const std::string text = MakeText(6, 8_KiB);
+  mr::Cluster fresh(opts);
+  mr::Cluster busy(opts);
+  ASSERT_TRUE(fresh.dfs().Upload("corpus", text).ok());
+  ASSERT_TRUE(busy.dfs().Upload("corpus", text).ok());
+
+  ReduceGate gate;
+  mr::JobSpec spec = apps::WordCountJob("inflight", "corpus");
+  spec.spill_threshold = 256;  // many spills per job
+  spec.reducer = [&gate, inner = spec.reducer] {
+    return std::make_unique<GatedReducer>(gate, inner());
+  };
+  mr::JobHandle handle = busy.Submit(spec);
+  const bool entered = gate.WaitEntered(std::chrono::seconds(60));
+  constexpr int kVictim = 1;
+  const dfs::RecoveryReport during_job = entered ? busy.KillServer(kVictim)
+                                                 : dfs::RecoveryReport{};
+  gate.Open();
+  const mr::JobResult result = handle.Wait();
+  ASSERT_TRUE(entered) << "no reduce started";
+
+  const dfs::RecoveryReport after_nothing = fresh.KillServer(kVictim);
+  EXPECT_GT(after_nothing.blocks_copied, 0u);
+  EXPECT_EQ(during_job.blocks_copied, after_nothing.blocks_copied)
+      << "the repair copied the running job's spills";
+  EXPECT_EQ(during_job.blocks_lost, 0u);
+
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  const auto expected = apps::WordCountSerial(text);
+  ASSERT_EQ(result.output.size(), expected.size());
+  for (const auto& kv : result.output) {
+    EXPECT_EQ(kv.value, std::to_string(expected.at(kv.key))) << kv.key;
+  }
 }
 
 }  // namespace

@@ -68,7 +68,6 @@ TEST(DeploySerde, WelcomeRoundTripWithRingAndPeers) {
   in.cache_capacity = 128ull << 20;
   in.replication = 3;
   in.vnodes = 4;
-  in.finger_entries = 8;
   in.scheduler_epoch = 42;
   in.ring = {{0, HashKey{111}}, {1, HashKey{222}}, {0, HashKey{333}}};
   in.peers = {{0, "hostA", 1234}, {1, "hostB", 5678}};
@@ -78,7 +77,6 @@ TEST(DeploySerde, WelcomeRoundTripWithRingAndPeers) {
   EXPECT_EQ(out.cache_capacity, 128ull << 20);
   EXPECT_EQ(out.replication, 3u);
   EXPECT_EQ(out.vnodes, 4u);
-  EXPECT_EQ(out.finger_entries, 8u);
   EXPECT_EQ(out.scheduler_epoch, 42u);
   ASSERT_EQ(out.ring.size(), 3u);
   EXPECT_EQ(out.ring[2].server, 0);
@@ -327,6 +325,71 @@ TEST(Deploy, CrashRecoveryOverWorkerHosts) {
     for (auto& host : hosts) {
       if (host->node() == kVictim) host.reset();
     }
+
+    auto back = cluster.dfs().ReadFile("corpus");
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back.value(), text);
+
+    mr::JobResult result = cluster.Run(apps::WordCountJob("wc", "corpus"));
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    const auto expected = apps::WordCountSerial(text);
+    ASSERT_EQ(result.output.size(), expected.size());
+    for (const auto& kv : result.output) {
+      EXPECT_EQ(kv.value, std::to_string(expected.at(kv.key))) << kv.key;
+    }
+  }
+  coordinator->ShutdownAll();
+}
+
+// An unannounced departure: one of five worker hosts goes away without
+// ShutdownWorker. The coordinator's heartbeat monitor declares it failed and
+// the cluster runs the same departure KillServer runs: the worker is dead
+// and off the ring, one recovery is counted, and the data and jobs survive.
+TEST(Deploy, HeartbeatMonitorRunsTheDepartureOfAVanishedHost) {
+  mr::DeploymentOptions dopts;
+  dopts.heartbeat_interval_ms = 100;
+  auto coordinator = std::make_shared<mr::DeploymentCoordinator>(dopts);
+  ASSERT_GT(coordinator->bootstrap_port(), 0);
+
+  mr::WorkerHostOptions wopts;
+  wopts.coordinator_port = coordinator->bootstrap_port();
+  wopts.heartbeat_interval_ms = 100;
+  std::vector<std::unique_ptr<mr::WorkerHost>> hosts;
+  for (int i = 0; i < 5; ++i) {
+    hosts.push_back(std::make_unique<mr::WorkerHost>(wopts));
+    ASSERT_TRUE(hosts.back()->Start()) << hosts.back()->error();
+  }
+  ASSERT_TRUE(coordinator->WaitForWorkers(5, 5000));
+
+  Rng rng(37);
+  workload::TextOptions topts;
+  topts.target_bytes = 3000;
+  const std::string text = workload::GenerateText(rng, topts);
+  {
+    mr::ClusterOptions copts;
+    copts.deployment = coordinator;
+    copts.block_size = 512;
+    mr::Cluster cluster(copts);
+    ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+
+    constexpr int kVictim = 3;
+    for (auto& host : hosts) {
+      if (host->node() == kVictim) host.reset();  // no ShutdownWorker: it just vanishes
+    }
+    // The monitor's budget is heartbeat_interval_ms × heartbeat_misses; allow
+    // ten budgets for a loaded (sanitizer) host.
+    const Counter& recoveries = cluster.metrics().GetCounter("cluster.recoveries");
+    const auto budget =
+        std::chrono::milliseconds(dopts.heartbeat_interval_ms * dopts.heartbeat_misses);
+    const auto deadline = std::chrono::steady_clock::now() + 10 * budget;
+    while (std::chrono::steady_clock::now() < deadline &&
+           (cluster.ring().Contains(kVictim) || recoveries.value() == 0)) {
+      std::this_thread::sleep_for(10ms);
+    }
+    EXPECT_TRUE(cluster.worker(kVictim).dead());
+    ASSERT_FALSE(cluster.ring().Contains(kVictim)) << "the monitor never reported the host";
+    EXPECT_EQ(recoveries.value(), 1u);
+    EXPECT_EQ(cluster.metrics().GetCounter("cluster.blocks_lost").value(), 0u);
 
     auto back = cluster.dfs().ReadFile("corpus");
     ASSERT_TRUE(back.ok()) << back.status().ToString();

@@ -241,19 +241,56 @@ TEST_F(DfsTest, RecoveryRestoresReplicationFactor) {
 
 TEST_F(DfsTest, RecoveryReportsUnrecoverableBlocks) {
   Boot(5, 1000);
-  ASSERT_TRUE(client_->Upload("f", MakeContent(800)).ok());
-  auto meta = client_->GetMetadata("f").value();
+  // On this ring the record of "doomed" has a replica outside its block's
+  // replica set, so after the crash below the namespace still names the
+  // block. (A file whose every record replica dies leaves the namespace;
+  // no repair can count what it lost.)
+  ASSERT_TRUE(client_->Upload("doomed", MakeContent(800)).ok());
+  auto meta = client_->GetMetadata("doomed").value();
   ASSERT_EQ(meta.num_blocks, 1u);
 
   // Kill every replica holder of the single block: data is gone.
   auto holders = ring_.Replicas(meta.KeyOfBlock(0), 3);
   for (int h : holders) Crash(h);
+  bool named = false;
+  for (int server : ring_.Servers()) {
+    named |= nodes_[static_cast<std::size_t>(server)]->GetMetadataLocal("doomed").ok();
+  }
+  ASSERT_TRUE(named) << "no surviving record";
 
   FsRecovery recovery(1000, transport_, [this] { return std::make_shared<const dht::Ring>(ring_); });
   auto report = recovery.Repair(3);
-  EXPECT_EQ(report.blocks_lost, 0u)
-      << "block no longer appears in any inventory, so it cannot be counted";
+  EXPECT_EQ(report.blocks_lost, 1u) << "the namespace names a block no server holds";
   EXPECT_EQ(client_->ReadBlock(meta, 0).status().code(), ErrorCode::kNotFound);
+}
+
+TEST_F(DfsTest, RecoveryRestoresMetadataFromOneListPerServer) {
+  Boot(6, 100);
+  ASSERT_TRUE(client_->Upload("f", MakeContent(600)).ok());
+  const FileMetadata meta = client_->GetMetadata("f").value();
+
+  // Crash the record's owner: its successor set now includes a server
+  // without the record.
+  Crash(ring_.Owner(meta.MetaKey()));
+  int list_calls = 0;
+  for (int server : ring_.Servers()) {
+    const std::size_t i = static_cast<std::size_t>(server);
+    transport_.Register(server, [&list_calls, handler = dispatchers_[i]->AsHandler()](
+                                    int from, const net::Message& m) {
+      if (m.type == msg::kListMetadata) ++list_calls;
+      return handler(from, m);
+    });
+  }
+
+  FsRecovery recovery(1000, transport_, [this] { return std::make_shared<const dht::Ring>(ring_); });
+  auto report = recovery.Repair(3);
+  EXPECT_EQ(report.metadata_copied, 1u);
+  EXPECT_EQ(list_calls, static_cast<int>(ring_.size())) << "one kListMetadata per live server";
+  for (int target : ring_.Replicas(meta.MetaKey(), 3)) {
+    auto restored = nodes_[static_cast<std::size_t>(target)]->GetMetadataLocal("f");
+    ASSERT_TRUE(restored.ok()) << "no record on target " << target;
+    EXPECT_EQ(restored.value(), meta);
+  }
 }
 
 /// Four DFS nodes on a static ring; the transport counts every call.

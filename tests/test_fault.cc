@@ -125,17 +125,22 @@ TEST(Fault, ReplicationOneLosesDataHonestly) {
   std::string text = SampleText(17);
   ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
 
-  // Find a server holding at least one (sole) block copy.
+  // Find a server holding at least one (sole) block copy but not the file's
+  // metadata record: a repair counts the blocks the namespace names.
   int victim = -1;
   for (int id : cluster.WorkerIds()) {
-    if (cluster.worker(id).dfs_node().blocks().Count() > 0) {
+    dfs::DfsNode& node = cluster.worker(id).dfs_node();
+    if (node.blocks().Count() > 0 && !node.GetMetadataLocal("corpus").ok()) {
       victim = id;
       break;
     }
   }
   ASSERT_GE(victim, 0);
+  const std::size_t held = cluster.worker(victim).dfs_node().blocks().Count();
 
-  cluster.KillServer(victim);
+  const dfs::RecoveryReport report = cluster.KillServer(victim);
+  EXPECT_EQ(report.blocks_lost, held) << "every block the victim held is lost";
+  EXPECT_EQ(report.blocks_copied, 0u);
   auto back = cluster.dfs().ReadFile("corpus");
   EXPECT_FALSE(back.ok()) << "sole replicas died with the server";
 }
@@ -154,16 +159,18 @@ TEST(Fault, HeartbeatsDriveAutomaticRecovery) {
 
   cluster.worker(2).Kill();  // raw crash
 
-  // Wait until auto-recovery removed it from the cluster ring.
+  // Wait until auto-recovery removed it from the cluster ring and counted
+  // the repair (the last step of the departure).
+  const Counter& recoveries = cluster.metrics().GetCounter("cluster.recoveries");
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
-  while (std::chrono::steady_clock::now() < deadline && cluster.ring().Contains(2)) {
+  while (std::chrono::steady_clock::now() < deadline &&
+         (cluster.ring().Contains(2) || recoveries.value() == 0)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_FALSE(cluster.ring().Contains(2)) << "heartbeats should evict the dead worker";
+  EXPECT_EQ(recoveries.value(), 1u) << "one departure, however many agents report it";
 
-  // Give re-replication a moment, then verify full replication on the new
-  // replica sets and that jobs run.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Verify full replication on the new replica sets and that jobs run.
   auto meta = cluster.dfs().GetMetadata("corpus").value();
   dht::Ring ring = cluster.ring();
   for (std::uint64_t b = 0; b < meta.num_blocks; ++b) {

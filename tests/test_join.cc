@@ -91,6 +91,25 @@ TEST(Join, ReadAndJobAfterGrowth) {
   EXPECT_EQ(result.output.size(), apps::WordCountSerial(text).size());
 }
 
+TEST(Join, TaggedJobRerunAfterGrowthMatchesItsFirstRun) {
+  // A join copies file blocks only: the tagged spills and manifests stay on
+  // their old owners, which become the newcomers' successors, so a re-run
+  // still finds them within the key's replicas or re-runs the maps.
+  Cluster cluster(BaseOptions(4));
+  std::string text = SomeText();
+  ASSERT_TRUE(cluster.dfs().Upload("f", text).ok());
+  JobSpec spec = apps::WordCountJob("wc-tagged", "f");
+  spec.intermediate_tag = "join-tag";
+  JobResult first = cluster.Run(spec);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+
+  cluster.AddServer();
+  cluster.AddServer();
+  JobResult again = cluster.Run(spec);
+  ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+  EXPECT_EQ(again.output, first.output);
+}
+
 TEST(Join, GrowThenShrinkKeepsData) {
   Cluster cluster(BaseOptions(4));
   std::string text = SomeText();

@@ -221,36 +221,43 @@ TEST(CacheNodeTest, RemoteFetchSkipsPlaceholders) {
   EXPECT_EQ(client.FetchFrom(1, "ph"), nullptr);
 }
 
-TEST(CacheNodeTest, MigrateRangeMovesEntries) {
+/// Two cache nodes on one in-process transport: a donor (1) and the node a
+/// range migrates to (2). The client is the receiving worker's own endpoint,
+/// as in WorkerServer::CacheMigrateFrom.
+struct MigrationPair {
+  MigrationPair() {
+    transport.Register(1, donor_dispatcher.AsHandler());
+    transport.Register(2, mine_dispatcher.AsHandler());
+  }
   net::InProcessTransport transport;
-  net::Dispatcher d;
-  CacheNode donor(1, d, 1000);
-  transport.Register(1, d.AsHandler());
-  donor.local().Put("in-range", 500, "A", EntryKind::kInput);
-  donor.local().Put("out-of-range", 50, "B", EntryKind::kInput);
+  net::Dispatcher donor_dispatcher;
+  net::Dispatcher mine_dispatcher;
+  CacheNode donor{1, donor_dispatcher, 1000};
+  CacheNode mine{2, mine_dispatcher, 1000};
+  CacheClient client{2, transport};
+};
 
-  LruCache mine(1000);
-  CacheClient client(0, transport);
-  std::size_t moved = client.MigrateRange(1, KeyRange{400, 600, false}, mine);
+TEST(CacheNodeTest, MigrateRangeMovesEntries) {
+  MigrationPair p;
+  p.donor.local().Put("in-range", 500, "A", EntryKind::kInput);
+  p.donor.local().Put("out-of-range", 50, "B", EntryKind::kInput);
+
+  std::size_t moved = p.client.MigrateRemote(1, KeyRange{400, 600, false}, 2);
   EXPECT_EQ(moved, 1u);
-  EXPECT_TRUE(mine.Contains("in-range"));
-  EXPECT_FALSE(mine.Contains("out-of-range"));
-  EXPECT_FALSE(donor.local().Contains("in-range"));
-  EXPECT_TRUE(donor.local().Contains("out-of-range"));
+  EXPECT_TRUE(p.mine.local().Contains("in-range"));
+  EXPECT_FALSE(p.mine.local().Contains("out-of-range"));
+  EXPECT_FALSE(p.donor.local().Contains("in-range"));
+  EXPECT_TRUE(p.donor.local().Contains("out-of-range"));
 }
 
 TEST(CacheNodeTest, MigrateRangePreservesPlaceholders) {
-  net::InProcessTransport transport;
-  net::Dispatcher d;
-  CacheNode donor(1, d, 1000);
-  transport.Register(1, d.AsHandler());
-  donor.local().PutPlaceholder("ph", 500, 64, EntryKind::kInput);
+  MigrationPair p;
+  p.donor.local().PutPlaceholder("ph", 500, 64, EntryKind::kInput);
 
-  LruCache mine(1000);
-  CacheClient client(0, transport);
-  std::size_t moved = client.MigrateRange(1, KeyRange{400, 600, false}, mine);
+  std::size_t moved = p.client.MigrateRemote(1, KeyRange{400, 600, false}, 2);
   EXPECT_EQ(moved, 1u);
   // Still a placeholder on the receiving side: size accounted, no payload.
+  LruCache& mine = p.mine.local();
   EXPECT_TRUE(mine.Contains("ph"));
   EXPECT_EQ(mine.used(), 64u);
   EXPECT_EQ(mine.Get("ph", EntryKind::kInput), nullptr);

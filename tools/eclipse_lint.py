@@ -74,8 +74,6 @@ HOT_PATH_REQUIRED = [
      "pattern": r"void\*\s+Allocate\s*\("},
     {"file": "src/common/arena.h",
      "pattern": r"std::string_view\s+CopyString\s*\("},
-    {"file": "src/mr/shuffle.h",
-     "pattern": r"HashKey\s+Get\s*\("},
 ]
 
 # Calls that may block indefinitely (RPCs, sleeps, joins). CondVar::wait on

@@ -9,7 +9,8 @@ N pairs of `perfbench/run.py --trace 0`: one run at the base, one at the
 working tree. Pair k uses seed k on both sides; the base runs first in even
 pairs and the change in odd ones. Each side builds its own harness.
 
-Prints, per workload and end-to-end metric, `median [Q1, Q3]` of each side,
+Prints the line count of each tree's src/ (every *.h and *.cc), then, per
+workload and end-to-end metric, `median [Q1, Q3]` of each side,
 the change in the median and the pairs in which the change read better (ties
 count for neither side); then whether the claim rule holds for any metric:
 at least nine tenths of at least ten pairs won, and a gap between the medians
@@ -124,6 +125,18 @@ def evaluate(spec, pairs):
     return lines, failures
 
 
+def src_lines(tree):
+    """Lines (newlines, as `wc -l` counts them) in every *.h and *.cc file
+    under `tree`/src."""
+    total = 0
+    for dirpath, _, names in os.walk(os.path.join(tree, "src")):
+        for name in names:
+            if name.endswith((".h", ".cc")):
+                with open(os.path.join(dirpath, name), "rb") as f:
+                    total += f.read().count(b"\n")
+    return total
+
+
 def checkout_base(rev):
     """Detached worktree of `rev` at BASE_TREE, reused across invocations so
     its harness build is incremental. Returns the commit id, or None."""
@@ -177,6 +190,9 @@ def main():
         return 2
     print("perf_pairs: parent %s against the working tree, %d pairs of %g s per workload"
           % (sha[:12], args.pairs, args.seconds))
+    parent_lines, change_lines = src_lines(BASE_TREE), src_lines(ROOT)
+    print("src/ lines: parent %d, change %d (%+d)"
+          % (parent_lines, change_lines, change_lines - parent_lines))
     pairs, same_refs = {}, 0
     for w in spec["workloads"]:
         workload = w["name"]
