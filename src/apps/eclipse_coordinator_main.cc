@@ -122,8 +122,6 @@ int main(int argc, char** argv) {
   dopts.heartbeat_interval_ms = static_cast<int>(parsed.Int("--heartbeat-ms", 500));
   dopts.heartbeat_misses = static_cast<int>(parsed.Int("--heartbeat-misses", 6));
   dopts.cache_capacity = static_cast<Bytes>(parsed.Int("--cache-mb", 64)) << 20;
-  dopts.replication = static_cast<std::uint32_t>(parsed.Int("--replication", 3));
-  dopts.vnodes = static_cast<std::uint32_t>(parsed.Int("--vnodes", 1));
   dopts.transport.listen_host = listen_host;
 
   auto coordinator = std::make_shared<mr::DeploymentCoordinator>(dopts);
@@ -147,8 +145,8 @@ int main(int argc, char** argv) {
     copts.deployment = coordinator;
     copts.cache_capacity = dopts.cache_capacity;
     copts.block_size = static_cast<Bytes>(parsed.Int("--block-kb", 64)) << 10;
-    copts.replication = dopts.replication;
-    copts.vnodes = static_cast<int>(dopts.vnodes);
+    copts.replication = static_cast<std::size_t>(parsed.Int("--replication", 3));
+    copts.vnodes = static_cast<int>(parsed.Int("--vnodes", 1));
     copts.scheduler = parsed.Str("--scheduler", "laf") == "delay" ? mr::SchedulerKind::kDelay
                                                                   : mr::SchedulerKind::kLaf;
     mr::Cluster cluster(copts);

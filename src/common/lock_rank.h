@@ -68,7 +68,6 @@ enum class Rank : int {
 
   // -- 600: storage ---------------------------------------------------------
   kDfsMeta = 600,        // dfs/dfs_node.h     DfsNode::meta_mu_
-  kDfsRoute = 610,       // dfs/dfs_node.h     DfsNode::route_mu_
   kBlockStore = 620,     // dfs/block_store.h  BlockStore::mu_
   kBlockStoreHook = 630, // dfs/block_store.h  BlockStore::hook_mu_
   kCacheLru = 640,       // cache/lru_cache.h  LruCache::mu_

@@ -168,17 +168,6 @@ Result<std::string> DfsClient::ReadBlockRange(const FileMetadata& meta, std::uin
   return last;
 }
 
-Result<std::string> DfsClient::ReadBlockRouted(const FileMetadata& meta, std::uint64_t index,
-                                               int entry_node, std::uint32_t max_hops) {
-  if (index >= meta.num_blocks) {
-    return Status::Error(ErrorCode::kInvalidArgument, "block index out of range");
-  }
-  auto routed = RoutedGet(transport_, self_, entry_node, BlockId(meta.name, index),
-                          meta.KeyOfBlock(index), max_hops);
-  if (!routed.ok()) return routed.status();
-  return std::move(routed.value().data);
-}
-
 Result<std::string> DfsClient::ReadFile(const std::string& name) {
   auto meta = GetMetadata(name);
   if (!meta.ok()) return meta.status();

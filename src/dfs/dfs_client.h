@@ -76,13 +76,6 @@ class DfsClient {
   Result<std::string> ReadBlockRange(const FileMetadata& meta, std::uint64_t index,
                                      Bytes offset, Bytes len);
 
-  /// Read one block through multi-hop DHT routing, entering the overlay at
-  /// `entry_node` (§II-A's non-zero-hop mode; requires DfsNode::
-  /// EnableRouting on the servers). Mainly for deployments whose finger
-  /// tables are smaller than the ring.
-  Result<std::string> ReadBlockRouted(const FileMetadata& meta, std::uint64_t index,
-                                      int entry_node, std::uint32_t max_hops = 64);
-
   // ---- Intermediate results (§II-C/D) ------------------------------------
 
   /// Persist an intermediate result (or iteration output) under an explicit

@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "dht/finger_table.h"
 #include "obs/trace.h"
 
 namespace eclipse::dfs {
@@ -32,87 +31,6 @@ DfsNode::DfsNode(int self, net::Dispatcher& dispatcher) : self_(self) {
                    [this](int from, const net::Message& m) { return Handle(from, m); });
 }
 
-void DfsNode::EnableRouting(net::Transport& transport, RingProvider ring_provider,
-                            std::size_t finger_entries) {
-  MutexLock lock(route_mu_);
-  transport_ = &transport;
-  ring_provider_ = std::move(ring_provider);
-  finger_entries_ = finger_entries;
-}
-
-net::Message DfsNode::HandleRoutedGet(const net::Message& m) {
-  BinaryReader r(m.payload);
-  std::string id;
-  std::uint64_t key;
-  std::uint32_t hops_remaining;
-  if (!r.GetString(&id) || !r.GetU64(&key) || !r.GetU32(&hops_remaining)) {
-    return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad RoutedGet request");
-  }
-
-  auto answer = [this](const std::string& block_id) -> net::Message {
-    auto data = blocks_.Get(block_id);
-    if (!data.ok()) return net::ErrorMessage(data.status().code(), data.status().message());
-    BinaryWriter w;
-    w.PutU32(0);  // hops used from here
-    w.PutU32(static_cast<std::uint32_t>(self_));
-    w.PutString(data.value());
-    return Ok(w.Take());
-  };
-
-  // Serve locally when we hold the data or when we own the key (in which
-  // case a miss is authoritative).
-  if (blocks_.Contains(id)) return answer(id);
-  net::Transport* transport;
-  RingProvider ring_provider;
-  std::size_t finger_entries;
-  {
-    MutexLock lock(route_mu_);
-    transport = transport_;
-    ring_provider = ring_provider_;
-    finger_entries = finger_entries_;
-  }
-  if (!transport || !ring_provider) {
-    return net::ErrorMessage(ErrorCode::kNotFound, "no block " + id + " (routing disabled)");
-  }
-  RingSnapshot ring_snap = ring_provider();
-  static const dht::Ring kNoRing;
-  const dht::Ring& ring = ring_snap ? *ring_snap : kNoRing;
-  if (!ring.Contains(self_) || ring.Owner(key) == self_) {
-    return net::ErrorMessage(ErrorCode::kNotFound, "owner has no block " + id);
-  }
-  if (hops_remaining == 0) {
-    return net::ErrorMessage(ErrorCode::kResourceExhausted, "hop budget exhausted");
-  }
-
-  // Classic DHT forwarding through this server's finger table (§II-A).
-  dht::FingerTable fingers(ring, self_, finger_entries);
-  int next = fingers.NextHop(key);
-  if (next == self_) next = ring.SuccessorOf(self_);
-
-  BinaryWriter fw;
-  fw.PutString(id);
-  fw.PutU64(key);
-  fw.PutU32(hops_remaining - 1);
-  auto resp = transport->Call(self_, next, net::Message{msg::kRoutedGet, fw.Take()});
-  if (!resp.ok()) {
-    return net::ErrorMessage(resp.status().code(), resp.status().message());
-  }
-  if (net::IsError(resp.value())) return resp.value();
-
-  // Increment the hop count on the way back.
-  BinaryReader rr(resp.value().payload);
-  std::uint32_t hops, owner;
-  std::string data;
-  if (!rr.GetU32(&hops) || !rr.GetU32(&owner) || !rr.GetString(&data)) {
-    return net::ErrorMessage(ErrorCode::kCorruption, "bad RoutedGet response");
-  }
-  BinaryWriter w;
-  w.PutU32(hops + 1);
-  w.PutU32(owner);
-  w.PutString(data);
-  return Ok(w.Take());
-}
-
 net::Message DfsNode::HandleGetObjects(int from, const net::Message& m) {
   const auto ids = DecodeIds(m.payload);
   if (!ids) return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad GetObjects request");
@@ -132,26 +50,6 @@ net::Message DfsNode::HandleGetObjects(int from, const net::Message& m) {
     w.PutString(data.value());
   }
   return Ok(w.Take());
-}
-
-Result<RoutedGetResult> RoutedGet(net::Transport& transport, int caller, int entry_node,
-                                  const std::string& id, HashKey key,
-                                  std::uint32_t max_hops) {
-  BinaryWriter w;
-  w.PutString(id);
-  w.PutU64(key);
-  w.PutU32(max_hops);
-  auto resp = transport.Call(caller, entry_node, net::Message{msg::kRoutedGet, w.Take()});
-  if (!resp.ok()) return resp.status();
-  if (net::IsError(resp.value())) return net::DecodeError(resp.value());
-  BinaryReader r(resp.value().payload);
-  RoutedGetResult out;
-  std::uint32_t owner;
-  if (!r.GetU32(&out.hops) || !r.GetU32(&owner) || !r.GetString(&out.data)) {
-    return Status::Error(ErrorCode::kCorruption, "bad RoutedGet response");
-  }
-  out.owner = static_cast<int>(owner);
-  return out;
 }
 
 void DfsNode::PutMetadataLocal(const FileMetadata& m) {
@@ -265,9 +163,6 @@ net::Message DfsNode::Handle(int from, const net::Message& m) {
       }
       return Ok(data.value().substr(offset, len));
     }
-
-    case msg::kRoutedGet:
-      return HandleRoutedGet(m);
 
     case msg::kGetObjects:
       return HandleGetObjects(from, m);

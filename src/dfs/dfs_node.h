@@ -27,7 +27,7 @@ inline constexpr std::uint32_t kGetBlock = 204;
 inline constexpr std::uint32_t kListBlocks = 206;
 inline constexpr std::uint32_t kListMetadata = 207;
 inline constexpr std::uint32_t kGetBlockRange = 208;
-inline constexpr std::uint32_t kRoutedGet = 209;
+// Type 209 (a multi-hop routed read) is retired.
 /// Batched object read: u32 n, then n ids. The response holds n entries in
 /// request order, each a u32 ErrorCode and a string: the object's bytes on
 /// kOk, else the error message.
@@ -39,8 +39,8 @@ inline constexpr std::uint32_t kDeleteObjects = 211;
 inline constexpr std::uint32_t kOk = 299;
 }  // namespace msg
 
-/// Supplies the node's current view of the ring (normally bound to
-/// MembershipAgent::ring_view; tests may pin a static ring).
+/// Supplies the current view of the ring (normally bound to
+/// Cluster::ring_snapshot; tests may pin a static ring).
 ///
 /// The view is an immutable snapshot behind a shared_ptr: providers publish
 /// a fresh snapshot on membership events, and every DFS operation costs one
@@ -54,16 +54,6 @@ using RingProvider = std::function<RingSnapshot()>;
 class DfsNode {
  public:
   DfsNode(int self, net::Dispatcher& dispatcher);
-
-  /// Enable multi-hop request routing (§II-A: "if zero hop routing is not
-  /// enabled, it routes the request to another server that owns the hash
-  /// key as in the classic DHT routing algorithm"). `finger_entries` is the
-  /// routing-table size m; each kRoutedGet that misses locally is forwarded
-  /// to the finger-table next hop, up to a hop budget. Requires a transport
-  /// to forward on; without this call, kRoutedGet answers from local state
-  /// only.
-  void EnableRouting(net::Transport& transport, RingProvider ring_provider,
-                     std::size_t finger_entries);
 
   /// Direct access for local tasks and for recovery (bypasses messaging;
   /// same thread-safe stores the handler uses).
@@ -79,32 +69,12 @@ class DfsNode {
 
  private:
   net::Message Handle(int from, const net::Message& m);
-  net::Message HandleRoutedGet(const net::Message& m);
   net::Message HandleGetObjects(int from, const net::Message& m);
 
   const int self_;
   BlockStore blocks_;
   mutable Mutex meta_mu_{Rank::kDfsMeta, "DfsNode::meta_mu_"};
   std::unordered_map<std::string, FileMetadata> metadata_ GUARDED_BY(meta_mu_);
-
-  // Multi-hop routing state (optional). EnableRouting may race with inbound
-  // kRoutedGet traffic, so handlers snapshot this under route_mu_.
-  mutable Mutex route_mu_{Rank::kDfsRoute, "DfsNode::route_mu_"};
-  net::Transport* transport_ GUARDED_BY(route_mu_) = nullptr;
-  RingProvider ring_provider_ GUARDED_BY(route_mu_);
-  std::size_t finger_entries_ GUARDED_BY(route_mu_) = 0;
 };
-
-/// Client-side routed lookup: ask `entry_node` for the object stored under
-/// (id, key); the request hops through finger tables until it reaches the
-/// key's owner. Returns the data, the owner id, and the number of hops.
-struct RoutedGetResult {
-  std::string data;
-  int owner = -1;
-  std::uint32_t hops = 0;
-};
-Result<RoutedGetResult> RoutedGet(net::Transport& transport, int caller, int entry_node,
-                                  const std::string& id, HashKey key,
-                                  std::uint32_t max_hops = 64);
 
 }  // namespace eclipse::dfs

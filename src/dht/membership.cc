@@ -1,7 +1,5 @@
 #include "dht/membership.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 #include "common/serde.h"
 
@@ -90,11 +88,6 @@ void MembershipAgent::OnFailure(FailureCallback cb) {
   failure_cbs_.push_back(std::move(cb));
 }
 
-void MembershipAgent::OnCoordinator(CoordinatorCallback cb) {
-  MutexLock lock(cb_mu_);
-  coordinator_cbs_.push_back(std::move(cb));
-}
-
 Ring MembershipAgent::ring_view() const {
   MutexLock lock(mu_);
   return ring_;
@@ -116,33 +109,6 @@ net::Message MembershipAgent::Handle(int from, const net::Message& m) {
 
     case msg::kFailed: {
       HandleFailure(DecodeInt(m), /*broadcast=*/false);
-      return Ack();
-    }
-
-    case msg::kElection: {
-      int candidate = DecodeInt(m);
-      {
-        // Reject tokens for unknown candidates: a corrupted id could
-        // otherwise circulate forever (it never matches any originator).
-        MutexLock lock(mu_);
-        if (!ring_.Contains(candidate)) {
-          return net::ErrorMessage(ErrorCode::kInvalidArgument,
-                                   "election token for unknown server");
-        }
-      }
-      ForwardElection(candidate);
-      return Ack();
-    }
-
-    case msg::kCoordinator: {
-      int winner = DecodeInt(m);
-      coordinator_.store(winner);
-      std::vector<CoordinatorCallback> cbs;
-      {
-        MutexLock lock(cb_mu_);
-        cbs = coordinator_cbs_;
-      }
-      for (auto& cb : cbs) cb(winner);
       return Ack();
     }
 
@@ -221,52 +187,6 @@ void MembershipAgent::HandleFailure(int failed, bool broadcast) {
     cbs = failure_cbs_;
   }
   for (auto& cb : cbs) cb(failed);
-
-  if (failed == coordinator_.load() && broadcast) StartElection();
-}
-
-void MembershipAgent::StartElection() { SendElectionToken(self_); }
-
-void MembershipAgent::ForwardElection(int candidate) {
-  // Chang–Roberts with max-id: a token circulates clockwise; each node
-  // replaces it with its own id if larger. The token returning to its own
-  // originator (candidate == self) means self has the max id: it wins.
-  if (candidate == self_) {
-    AnnounceCoordinator(self_);
-    return;
-  }
-  SendElectionToken(std::max(candidate, self_));
-}
-
-void MembershipAgent::SendElectionToken(int token) {
-  // Forward to the first alive successor, skipping dead nodes.
-  for (;;) {
-    int succ;
-    {
-      MutexLock lock(mu_);
-      succ = ring_.SuccessorOf(self_);
-    }
-    if (succ < 0 || succ == self_) {
-      AnnounceCoordinator(self_);  // alone: win by default
-      return;
-    }
-    auto resp = transport_.Call(self_, succ, IntMessage(msg::kElection, token));
-    if (resp.ok() && !net::IsError(resp.value())) return;
-    HandleFailure(succ, /*broadcast=*/true);
-  }
-}
-
-void MembershipAgent::AnnounceCoordinator(int winner) {
-  coordinator_.store(winner);
-  std::vector<CoordinatorCallback> cbs;
-  {
-    MutexLock lock(cb_mu_);
-    cbs = coordinator_cbs_;
-  }
-  for (auto& cb : cbs) cb(winner);
-  for (int member : AliveMembersExceptSelf()) {
-    transport_.Call(self_, member, IntMessage(msg::kCoordinator, winner));
-  }
 }
 
 }  // namespace eclipse::dht

@@ -1,21 +1,21 @@
 // Decentralized membership: neighbor heartbeats, failure detection and
-// propagation, and ring-based coordinator election.
+// propagation, and joins.
 //
-// Paper §II-A/§II: "Each server exchanges heartbeat messages with direct
+// Paper §II-A: "Each server exchanges heartbeat messages with direct
 // neighbors to detect server failures, and the resource manager and job
-// scheduler are notified when a server failure is detected. ... If a
-// resource manager or a scheduler fails, the rest of the worker servers
-// execute an election algorithm to choose a new resource manager and a
-// scheduler."
+// scheduler are notified when a server failure is detected."
+//
+// The paper's election of a new resource manager or scheduler (§II) is not
+// reproduced: both roles live in the driver (emulation) or the coordinator
+// process (deployment), never on a worker that can fail (DESIGN.md).
 //
 // Every emulated worker server owns one MembershipAgent. Agents exchange
 // real messages through the node's Transport:
 //   kPing        heartbeat to ring neighbors
 //   kFailed      failure propagation broadcast by the detector
-//   kElection    Chang–Roberts token carrying the max candidate id
-//   kCoordinator new-coordinator announcement
 //   kGetRing     membership snapshot for joining nodes
 //   kJoin        join announcement broadcast
+// Types 102 and 103 (an election token and its winner) are retired.
 #pragma once
 
 #include <atomic>
@@ -34,8 +34,6 @@ namespace eclipse::dht {
 namespace msg {
 inline constexpr std::uint32_t kPing = 100;
 inline constexpr std::uint32_t kFailed = 101;
-inline constexpr std::uint32_t kElection = 102;
-inline constexpr std::uint32_t kCoordinator = 103;
 inline constexpr std::uint32_t kGetRing = 104;
 inline constexpr std::uint32_t kJoin = 105;
 inline constexpr std::uint32_t kAck = 199;
@@ -49,7 +47,6 @@ struct MembershipConfig {
 class MembershipAgent {
  public:
   using FailureCallback = std::function<void(int failed_server)>;
-  using CoordinatorCallback = std::function<void(int coordinator)>;
 
   MembershipAgent(int self, net::Transport& transport, net::Dispatcher& dispatcher,
                   MembershipConfig cfg = {});
@@ -76,39 +73,27 @@ class MembershipAgent {
   /// every node that learns of it) after the ring view is updated.
   void OnFailure(FailureCallback cb);
 
-  /// Callback fired when a coordinator announcement arrives (including on
-  /// the winner itself).
-  void OnCoordinator(CoordinatorCallback cb);
-
   /// Snapshot of this agent's current ring view.
   Ring ring_view() const;
 
   int self() const { return self_; }
-  int coordinator() const { return coordinator_.load(); }
-
-  /// Launch a Chang–Roberts election around the alive ring.
-  void StartElection();
 
  private:
   net::Message Handle(int from, const net::Message& m);
   void HeartbeatLoop();
   void HandleFailure(int failed, bool broadcast);
-  void ForwardElection(int candidate);
-  void SendElectionToken(int token);
-  void AnnounceCoordinator(int winner);
   std::vector<int> AliveMembersExceptSelf() const;
 
   const int self_;
   net::Transport& transport_;
   MembershipConfig cfg_;
 
-  // Lock hierarchy: mu_ (ring state) and cb_mu_ (callback lists) are leaf
+  // Lock hierarchy: mu_ (ring state) and cb_mu_ (failure callbacks) are leaf
   // locks — no transport call or callback runs while either is held.
   mutable Mutex mu_{Rank::kMembership, "MembershipAgent::mu_"};
   Ring ring_ GUARDED_BY(mu_);
   std::unordered_map<int, int> miss_count_ GUARDED_BY(mu_);
 
-  std::atomic<int> coordinator_{-1};
   std::atomic<bool> stopping_{false};
   // Lifecycle state: Start/Stop may race (e.g. a stress test stopping an
   // agent while another thread starts it); both go through mu_. The thread
@@ -119,7 +104,6 @@ class MembershipAgent {
 
   Mutex cb_mu_{Rank::kMembershipCb, "MembershipAgent::cb_mu_"};
   std::vector<FailureCallback> failure_cbs_ GUARDED_BY(cb_mu_);
-  std::vector<CoordinatorCallback> coordinator_cbs_ GUARDED_BY(cb_mu_);
 };
 
 }  // namespace eclipse::dht

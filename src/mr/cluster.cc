@@ -232,20 +232,9 @@ void Cluster::RebuildSchedulers() {
       std::make_shared<sched::LafScheduler>(servers, next->fs_ranges, options_.laf);
   next->delay =
       std::make_shared<sched::DelayScheduler>(servers, next->fs_ranges, options_.delay);
-  std::uint64_t version;
-  {
-    MutexLock lock(sched_mu_);
-    next->version = epoch_ ? epoch_->version + 1 : 1;
-    version = next->version;
-    epoch_ = std::move(next);
-  }
-  // Multi-process mode: every membership change funnels through here, so
-  // this is the one hook that keeps worker processes' ring views and peer
-  // directories in sync with the coordinator.
-  if (options_.deployment) {
-    options_.deployment->PushRing(version, r);
-    options_.deployment->PushPeers();
-  }
+  MutexLock lock(sched_mu_);
+  next->version = epoch_ ? epoch_->version + 1 : 1;
+  epoch_ = std::move(next);
 }
 
 dfs::RecoveryReport Cluster::KillServer(int id) {

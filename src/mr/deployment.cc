@@ -85,13 +85,8 @@ net::Message DeploymentCoordinator::HandleHello(const net::Message& m) {
     }
     workers_[id];  // reserved, inactive until kActivate
     welcome.node = id;
-    welcome.peers = PeerDirectoryLocked();
   }
   welcome.cache_capacity = opts_.cache_capacity;
-  welcome.replication = opts_.replication;
-  welcome.vnodes = opts_.vnodes;
-  // Ring + epoch arrive via kRingUpdate once the Cluster builds: a worker
-  // that joins before the cluster exists has no ring to receive yet.
   obs::Tracer::Global().Emit('i', "deploy", "worker_hello", obs::kDriverPid,
                              {obs::U64("node", static_cast<std::uint64_t>(welcome.node))});
   return deploy::EncodeWelcome(welcome);
@@ -109,12 +104,9 @@ net::Message DeploymentCoordinator::HandleActivate(const net::Message& m) {
       return net::ErrorMessage(ErrorCode::kInvalidArgument,
                                "activate for unknown node " + std::to_string(a.node));
     }
-    it->second.host = a.host;
-    it->second.port = a.port;
     it->second.active = true;
     it->second.shut_down = false;
     it->second.last_heartbeat_ms = NowMs();
-    if (a.node > max_seen_node_) max_seen_node_ = a.node;
   }
   transport_.AddPeer(a.node, a.host, a.port);
   activated_.notify_all();
@@ -131,21 +123,9 @@ net::Message DeploymentCoordinator::HandleHeartbeat(const net::Message& m) {
   }
   MutexLock lock(mu_);
   auto it = workers_.find(hb.node);
-  if (it != workers_.end()) {
-    it->second.heartbeat_seq = hb.seq;
-    it->second.last_heartbeat_ms = NowMs();
-    it->second.misses = 0;
-  }
+  if (it != workers_.end()) it->second.last_heartbeat_ms = NowMs();
   ++heartbeats_;
   return deploy::EncodeOk();
-}
-
-std::vector<deploy::PeerEntry> DeploymentCoordinator::PeerDirectoryLocked() const {
-  std::vector<deploy::PeerEntry> peers;
-  for (const auto& [id, w] : workers_) {
-    if (w.active && !w.shut_down) peers.push_back({id, w.host, w.port});
-  }
-  return peers;
 }
 
 bool DeploymentCoordinator::WaitForWorkers(int n, int timeout_ms) {
@@ -187,32 +167,6 @@ std::vector<int> DeploymentCoordinator::ActiveWorkers() const {
     if (w.active && !w.shut_down) out.push_back(id);
   }
   return out;
-}
-
-void DeploymentCoordinator::PushRing(std::uint64_t scheduler_epoch, const dht::Ring& ring) {
-  deploy::RingUpdate update;
-  update.scheduler_epoch = scheduler_epoch;
-  for (const auto& [server, position] : ring.Positions()) {
-    update.ring.push_back({server, position});
-  }
-  net::Message m = deploy::EncodeRingUpdate(update);
-  net::ScopedDeadline sd(net::Deadline::After(std::chrono::milliseconds(2000)));
-  for (int id : ActiveWorkers()) {
-    (void)transport_.Call(kBootstrapNode, id, m);  // best-effort fan-out
-  }
-}
-
-void DeploymentCoordinator::PushPeers() {
-  deploy::PeerUpdate update;
-  {
-    MutexLock lock(mu_);
-    update.peers = PeerDirectoryLocked();
-  }
-  net::Message m = deploy::EncodePeerUpdate(update);
-  net::ScopedDeadline sd(net::Deadline::After(std::chrono::milliseconds(2000)));
-  for (int id : ActiveWorkers()) {
-    (void)transport_.Call(kBootstrapNode, id, m);
-  }
 }
 
 void DeploymentCoordinator::SetDiskDelay(int worker, std::int64_t delay_us) {

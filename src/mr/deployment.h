@@ -26,7 +26,6 @@
 
 #include "common/metrics.h"
 #include "common/mutex.h"
-#include "dht/ring.h"
 #include "net/bootstrap.h"
 #include "net/tcp_transport.h"
 
@@ -43,11 +42,9 @@ struct DeploymentOptions {
   int heartbeat_interval_ms = 500;
   int heartbeat_misses = 6;
 
-  /// Cluster configuration the kWelcome reply dictates to every worker, so
-  /// emulation and deployment run identical data-plane settings.
+  /// Cache slice the kWelcome reply dictates to every worker, so emulation
+  /// and deployment run identical data-plane settings.
   std::uint64_t cache_capacity = 64ull << 20;
-  std::uint32_t replication = 3;
-  std::uint32_t vnodes = 1;
 
   net::TcpTransport::Options transport;
 };
@@ -84,14 +81,6 @@ class DeploymentCoordinator {
   /// Ids of workers that are activated and not shut down, ascending.
   std::vector<int> ActiveWorkers() const;
 
-  /// Push the current ring + scheduler epoch to every active worker (the
-  /// Cluster calls this from RebuildSchedulers on each membership change).
-  void PushRing(std::uint64_t scheduler_epoch, const dht::Ring& ring);
-
-  /// Push the full peer directory to every active worker, so worker-to-worker
-  /// calls (multi-hop DFS routing) can resolve addresses.
-  void PushPeers();
-
   /// Slow-disk fault injection: set the worker's BlockStore op delay.
   void SetDiskDelay(int worker, std::int64_t delay_us);
 
@@ -107,7 +96,7 @@ class DeploymentCoordinator {
   void OnWorkerFailure(std::function<void(int)> cb);
   void StartHeartbeatMonitor();
 
-  /// Heartbeats received in total (tests, the deploy.heartbeats counter).
+  /// Heartbeats received in total (tests).
   std::uint64_t HeartbeatCount() const;
 
   /// Socket-internals registry (net.accepted_connections,
@@ -121,13 +110,9 @@ class DeploymentCoordinator {
 
  private:
   struct WorkerState {
-    std::string host;
-    int port = 0;
     bool active = false;
     bool shut_down = false;
-    std::uint64_t heartbeat_seq = 0;
     std::int64_t last_heartbeat_ms = 0;  // steady clock, monitor's basis
-    int misses = 0;
   };
 
   net::Message HandleBootstrap(int from, const net::Message& m);
@@ -135,7 +120,6 @@ class DeploymentCoordinator {
   net::Message HandleActivate(const net::Message& m);
   net::Message HandleHeartbeat(const net::Message& m);
   void MonitorLoop();
-  std::vector<net::deploy::PeerEntry> PeerDirectoryLocked() const REQUIRES(mu_);
   static std::int64_t NowMs();
 
   const DeploymentOptions opts_;
@@ -147,7 +131,6 @@ class DeploymentCoordinator {
   CondVar activated_;  // signaled on every kActivate
   std::map<int, WorkerState> workers_ GUARDED_BY(mu_);
   int next_node_ GUARDED_BY(mu_) = 0;
-  int max_seen_node_ GUARDED_BY(mu_) = -1;
   std::uint64_t heartbeats_ GUARDED_BY(mu_) = 0;
   std::function<void(int)> on_failure_ GUARDED_BY(mu_);
   int cb_inflight_ GUARDED_BY(mu_) = 0;  // monitor callbacks currently running

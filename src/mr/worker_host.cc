@@ -99,14 +99,6 @@ bool WorkerHost::Start() {
     std::this_thread::sleep_for(std::chrono::microseconds(us));
   });
 
-  {
-    MutexLock lock(mu_);
-    scheduler_epoch_ = welcome.scheduler_epoch;
-  }
-  for (const auto& p : welcome.peers) {
-    if (p.node != node_) transport_.AddPeer(p.node, p.host, p.port);
-  }
-
   data_port_ = transport_.RegisterAt(node_, dispatcher_.AsHandler(), opts_.data_port);
   if (data_port_ < 0) {
     error_ = "failed to bind data listener on " + opts_.listen_host + ":" +
@@ -134,27 +126,6 @@ bool WorkerHost::Start() {
 net::Message WorkerHost::HandleControl(int from, const net::Message& m) {
   (void)from;
   switch (m.type) {
-    case deploy::msg::kRingUpdate: {
-      deploy::RingUpdate update;
-      if (!deploy::DecodeRingUpdate(m, &update)) {
-        return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad ring update");
-      }
-      MutexLock lock(mu_);
-      scheduler_epoch_ = update.scheduler_epoch;
-      return deploy::EncodeOk();
-    }
-
-    case deploy::msg::kPeerUpdate: {
-      deploy::PeerUpdate update;
-      if (!deploy::DecodePeerUpdate(m, &update)) {
-        return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad peer update");
-      }
-      for (const auto& p : update.peers) {
-        if (p.node != node_) transport_.AddPeer(p.node, p.host, p.port);
-      }
-      return deploy::EncodeOk();
-    }
-
     case deploy::msg::kSetDiskDelay: {
       deploy::DiskDelay d;
       if (!deploy::DecodeDiskDelay(m, &d)) {
@@ -185,7 +156,6 @@ net::Message WorkerHost::HandleControl(int from, const net::Message& m) {
 
 void WorkerHost::HeartbeatLoop() {
   const auto interval = std::chrono::milliseconds(opts_.heartbeat_interval_ms);
-  std::uint64_t seq = 0;
   int consecutive_failures = 0;
   for (;;) {
     {
@@ -196,7 +166,7 @@ void WorkerHost::HeartbeatLoop() {
     if (stop_requested_.load()) return;
     net::ScopedDeadline sd(net::Deadline::After(interval));
     auto resp = transport_.Call(node_, deploy::kCoordinatorNode,
-                                deploy::EncodeHeartbeat({node_, ++seq}));
+                                deploy::EncodeHeartbeat({node_}));
     if (resp.ok() && !net::IsError(resp.value())) {
       heartbeats_sent_.fetch_add(1);
       consecutive_failures = 0;
@@ -239,11 +209,6 @@ int WorkerHost::Serve() {
 void WorkerHost::Stop() {
   stop_requested_.store(true);
   cv_.notify_all();
-}
-
-std::uint64_t WorkerHost::scheduler_epoch() const {
-  MutexLock lock(mu_);
-  return scheduler_epoch_;
 }
 
 }  // namespace eclipse::mr

@@ -4,9 +4,9 @@
 // CacheNode (LRU slice) — behind a TcpTransport endpoint, and runs the
 // deployment handshake against a coordinator (mr/deployment.h):
 //
-//   Start():  kHello -> kWelcome (node id, data-plane config, peer
-//             directory) -> build nodes -> bind data listener ->
-//             kActivate -> heartbeat thread.
+//   Start():  kHello -> kWelcome (node id, cache capacity) -> build
+//             nodes -> bind data listener -> kActivate -> heartbeat
+//             thread.
 //   Serve():  block until the coordinator sends kShutdown (or Stop() is
 //             called, e.g. from a SIGINT handler). In-flight RPCs drain
 //             before teardown: the transport's endpoint removal waits for
@@ -14,9 +14,8 @@
 //             finishes the response instead of slamming the socket.
 //
 // Control messages (the 500-599 deploy band) arrive on the same data
-// endpoint: kRingUpdate (the ring and scheduler epoch of a membership
-// change; the host keeps the epoch), kPeerUpdate (worker-to-worker address
-// directory), kSetDiskDelay (fault injection for chaos drills), kShutdown.
+// endpoint: kSetDiskDelay (fault injection for chaos drills) and kShutdown.
+// The host keeps no ring and dials no other worker.
 //
 // Compute never ships here: JobSpec holds C++ closures, so map/reduce
 // execution stays in the coordinator process and only data-plane bytes
@@ -82,8 +81,6 @@ class WorkerHost {
   int data_port() const { return data_port_; }
   const std::string& error() const { return error_; }
 
-  /// Ring epoch last pushed by the coordinator (tests).
-  std::uint64_t scheduler_epoch() const;
   std::uint64_t heartbeats_sent() const { return heartbeats_sent_.load(); }
 
   // Component access for in-process tests.
@@ -105,11 +102,10 @@ class WorkerHost {
   int data_port_ = -1;
   std::string error_;  // written only during Start()
 
-  mutable Mutex mu_{Rank::kWorkerHost, "WorkerHost::mu_"};
+  Mutex mu_{Rank::kWorkerHost, "WorkerHost::mu_"};
   CondVar cv_;
   bool shutdown_ GUARDED_BY(mu_) = false;
   bool hb_stop_ GUARDED_BY(mu_) = false;
-  std::uint64_t scheduler_epoch_ GUARDED_BY(mu_) = 0;
 
   std::atomic<std::int64_t> disk_delay_us_{0};
   std::atomic<bool> stop_requested_{false};

@@ -3,52 +3,6 @@
 #include "common/serde.h"
 
 namespace eclipse::net::deploy {
-namespace {
-
-void PutPeers(BinaryWriter& w, const std::vector<PeerEntry>& peers) {
-  w.PutU32(static_cast<std::uint32_t>(peers.size()));
-  for (const PeerEntry& p : peers) {
-    w.PutU32(static_cast<std::uint32_t>(p.node));
-    w.PutString(p.host);
-    w.PutU32(static_cast<std::uint32_t>(p.port));
-  }
-}
-
-bool GetPeers(BinaryReader& r, std::vector<PeerEntry>* peers) {
-  std::uint32_t n;
-  if (!r.GetU32(&n)) return false;
-  peers->resize(n);
-  for (PeerEntry& p : *peers) {
-    std::uint32_t node, port;
-    if (!r.GetU32(&node) || !r.GetString(&p.host) || !r.GetU32(&port))
-      return false;
-    p.node = static_cast<std::int32_t>(node);
-    p.port = static_cast<std::int32_t>(port);
-  }
-  return true;
-}
-
-void PutRing(BinaryWriter& w, const std::vector<RingPosition>& ring) {
-  w.PutU32(static_cast<std::uint32_t>(ring.size()));
-  for (const RingPosition& rp : ring) {
-    w.PutU32(static_cast<std::uint32_t>(rp.server));
-    w.PutU64(rp.position);
-  }
-}
-
-bool GetRing(BinaryReader& r, std::vector<RingPosition>* ring) {
-  std::uint32_t n;
-  if (!r.GetU32(&n)) return false;
-  ring->resize(n);
-  for (RingPosition& rp : *ring) {
-    std::uint32_t server;
-    if (!r.GetU32(&server) || !r.GetU64(&rp.position)) return false;
-    rp.server = static_cast<std::int32_t>(server);
-  }
-  return true;
-}
-
-}  // namespace
 
 Message EncodeHello(const Hello& h) {
   BinaryWriter w;
@@ -74,11 +28,6 @@ Message EncodeWelcome(const Welcome& welcome) {
   BinaryWriter w;
   w.PutU32(static_cast<std::uint32_t>(welcome.node));
   w.PutU64(welcome.cache_capacity);
-  w.PutU32(welcome.replication);
-  w.PutU32(welcome.vnodes);
-  w.PutU64(welcome.scheduler_epoch);
-  PutRing(w, welcome.ring);
-  PutPeers(w, welcome.peers);
   return Message{msg::kWelcome, w.Take()};
 }
 
@@ -86,11 +35,7 @@ bool DecodeWelcome(const Message& m, Welcome* out) {
   if (m.type != msg::kWelcome) return false;
   BinaryReader r(m.payload);
   std::uint32_t node;
-  if (!r.GetU32(&node) || !r.GetU64(&out->cache_capacity) ||
-      !r.GetU32(&out->replication) || !r.GetU32(&out->vnodes) ||
-      !r.GetU64(&out->scheduler_epoch) ||
-      !GetRing(r, &out->ring) || !GetPeers(r, &out->peers))
-    return false;
+  if (!r.GetU32(&node) || !r.GetU64(&out->cache_capacity)) return false;
   out->node = static_cast<std::int32_t>(node);
   return r.AtEnd();
 }
@@ -129,7 +74,6 @@ bool DecodeActivate(const Message& m, Activate* out) {
 Message EncodeHeartbeat(const Heartbeat& h) {
   BinaryWriter w;
   w.PutU32(static_cast<std::uint32_t>(h.node));
-  w.PutU64(h.seq);
   return Message{msg::kHeartbeat, w.Take()};
 }
 
@@ -137,34 +81,9 @@ bool DecodeHeartbeat(const Message& m, Heartbeat* out) {
   if (m.type != msg::kHeartbeat) return false;
   BinaryReader r(m.payload);
   std::uint32_t node;
-  if (!r.GetU32(&node) || !r.GetU64(&out->seq)) return false;
+  if (!r.GetU32(&node)) return false;
   out->node = static_cast<std::int32_t>(node);
   return r.AtEnd();
-}
-
-Message EncodeRingUpdate(const RingUpdate& ru) {
-  BinaryWriter w;
-  w.PutU64(ru.scheduler_epoch);
-  PutRing(w, ru.ring);
-  return Message{msg::kRingUpdate, w.Take()};
-}
-
-bool DecodeRingUpdate(const Message& m, RingUpdate* out) {
-  if (m.type != msg::kRingUpdate) return false;
-  BinaryReader r(m.payload);
-  return r.GetU64(&out->scheduler_epoch) && GetRing(r, &out->ring) && r.AtEnd();
-}
-
-Message EncodePeerUpdate(const PeerUpdate& pu) {
-  BinaryWriter w;
-  PutPeers(w, pu.peers);
-  return Message{msg::kPeerUpdate, w.Take()};
-}
-
-bool DecodePeerUpdate(const Message& m, PeerUpdate* out) {
-  if (m.type != msg::kPeerUpdate) return false;
-  BinaryReader r(m.payload);
-  return GetPeers(r, &out->peers) && r.AtEnd();
 }
 
 Message EncodeDiskDelay(const DiskDelay& d) {

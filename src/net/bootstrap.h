@@ -5,9 +5,8 @@
 //
 //  * Worker → coordinator, on the coordinator's bootstrap endpoint:
 //      kHello      magic + protocol version + desired node id; answered by
-//                  kWelcome (assigned id, cluster config, ring snapshot,
-//                  peer directory, scheduler epoch) or kReject (version
-//                  mismatch, cluster full, duplicate id).
+//                  kWelcome (assigned id, cache capacity) or kReject (bad
+//                  magic, version mismatch, duplicate id).
 //      kActivate   the worker bound its data listener: node id + host:port.
 //                  The coordinator installs the peer route and, once every
 //                  expected worker is active, lets the cluster build.
@@ -17,22 +16,19 @@
 //
 //  * Coordinator → worker, on the worker's data endpoint (the dispatcher
 //    routes 500-599 to the worker host's control handler):
-//      kRingUpdate    new ring snapshot + scheduler epoch (membership change)
-//      kPeerUpdate    new peer directory (join/leave)
 //      kSetDiskDelay  slow-disk fault injection for the worker's BlockStore
 //      kShutdown      drain and exit
 //
+// Types 510 and 511 (a pushed ring and peer directory, which no worker
+// read) are retired.
+//
 // This header is serde + constants only — the coordinator-side state machine
-// lives in mr/deployment.h, the worker-side one in mr/worker_host.h. The
-// ring crosses the wire as its (server, position) pairs, so net/ stays
-// independent of dht/.
+// lives in mr/deployment.h, the worker-side one in mr/worker_host.h.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/hash_key.h"
 #include "net/transport.h"
 
 namespace eclipse::net::deploy {
@@ -43,7 +39,7 @@ inline constexpr std::uint32_t kProtocolMagic = 0x45'43'4C'50;  // "ECLP"
 
 /// Bumped on any wire-format change. A worker and coordinator from
 /// different builds refuse to pair (kReject) instead of corrupting state.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// Well-known node id of the coordinator's bootstrap endpoint — outside the
 /// worker id space (workers are 0..N-1; the external DFS client is
@@ -54,8 +50,6 @@ namespace msg {
 inline constexpr std::uint32_t kHello = 500;
 inline constexpr std::uint32_t kActivate = 501;
 inline constexpr std::uint32_t kHeartbeat = 502;
-inline constexpr std::uint32_t kRingUpdate = 510;
-inline constexpr std::uint32_t kPeerUpdate = 511;
 inline constexpr std::uint32_t kSetDiskDelay = 512;
 inline constexpr std::uint32_t kShutdown = 513;
 inline constexpr std::uint32_t kWelcome = 580;
@@ -64,20 +58,6 @@ inline constexpr std::uint32_t kOk = 599;
 inline constexpr std::uint32_t kFirst = 500;
 inline constexpr std::uint32_t kLast = 599;
 }  // namespace msg
-
-/// One reachable node: how any process dials node `node`.
-struct PeerEntry {
-  std::int32_t node = 0;
-  std::string host;
-  std::int32_t port = 0;
-};
-
-/// One consistent-hash ring position (a vnode). The full vector rebuilds an
-/// identical ring via dht::Ring::AddServerAt on the receiving side.
-struct RingPosition {
-  std::int32_t server = 0;
-  HashKey position = 0;
-};
 
 struct Hello {
   std::uint32_t magic = kProtocolMagic;
@@ -90,14 +70,9 @@ struct Hello {
 
 struct Welcome {
   std::int32_t node = -1;
-  /// Worker-side data-plane knobs, dictated by the coordinator so emulation
-  /// and deployment run the exact same configuration.
+  /// The worker's cache slice, dictated by the coordinator so emulation and
+  /// deployment run the same configuration.
   std::uint64_t cache_capacity = 0;
-  std::uint32_t replication = 0;
-  std::uint32_t vnodes = 0;
-  std::uint64_t scheduler_epoch = 0;
-  std::vector<RingPosition> ring;
-  std::vector<PeerEntry> peers;
 };
 
 struct Reject {
@@ -112,16 +87,6 @@ struct Activate {
 
 struct Heartbeat {
   std::int32_t node = -1;
-  std::uint64_t seq = 0;
-};
-
-struct RingUpdate {
-  std::uint64_t scheduler_epoch = 0;
-  std::vector<RingPosition> ring;
-};
-
-struct PeerUpdate {
-  std::vector<PeerEntry> peers;
 };
 
 struct DiskDelay {
@@ -142,12 +107,6 @@ bool DecodeActivate(const Message& m, Activate* out);
 
 Message EncodeHeartbeat(const Heartbeat& h);
 bool DecodeHeartbeat(const Message& m, Heartbeat* out);
-
-Message EncodeRingUpdate(const RingUpdate& r);
-bool DecodeRingUpdate(const Message& m, RingUpdate* out);
-
-Message EncodePeerUpdate(const PeerUpdate& p);
-bool DecodePeerUpdate(const Message& m, PeerUpdate* out);
 
 Message EncodeDiskDelay(const DiskDelay& d);
 bool DecodeDiskDelay(const Message& m, DiskDelay* out);

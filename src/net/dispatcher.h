@@ -5,7 +5,7 @@
 // component claims a contiguous message-type range and registers one
 // handler; the dispatcher routes by type. Ranges in use:
 //
-//   100-199  dht   (membership: ping, election, coordinator)
+//   100-199  dht   (membership: ping, failure broadcast, join)
 //   200-299  dfs   (metadata, block read/write, replication)
 //   300-399  cache (peer fetch, migration)
 //   400-499  mr    (task assignment, intermediate push, job control)

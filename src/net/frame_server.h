@@ -9,12 +9,12 @@
 // in-order responses over a single pooled connection (CallBatch relies on
 // it). A request costs one wakeup of its connection's thread.
 //
-// A handler may itself issue a Call back into this process (routed DFS gets
-// chain up to the routing hop limit). Every nested hop travels on its own
-// pooled connection, so it is served by its own thread: a chain of nested
-// loopback calls cannot deadlock. Live connection threads are bounded by
-// kMaxConnThreads per server; at the bound a new connection is closed at
-// once, because peers outside the process decide how many arrive.
+// A handler may itself issue a Call back into this process. Every nested
+// hop travels on its own pooled connection, so it is served by its own
+// thread: a chain of nested loopback calls cannot deadlock. Live
+// connection threads are bounded by kMaxConnThreads per server; at the
+// bound a new connection is closed at once, because peers outside the
+// process decide how many arrive.
 //
 // fd rule: a connection thread is the only closer of its fd, and it
 // deregisters the fd under mu_ before closing it. RemoveEndpoint only

@@ -226,7 +226,7 @@ std::string Tracer::ExportChromeTrace() const {
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   char buf[160];
   bool first = true;
-  for (const TraceEvent& e : events) {
+  auto append = [&](const TraceEvent& e) {
     if (!first) out += ',';
     first = false;
     out += "\n{\"ph\":\"";
@@ -264,6 +264,33 @@ std::string Tracer::ExportChromeTrace() const {
       out += '}';
     }
     out += '}';
+  };
+  // 'B' and 'E' are matched per (pid, tid) track. An 'E' with no open 'B'
+  // (its span began before this session's Start(), or its 'B' sat in a
+  // recycled chunk) is dropped. A 'B' still open at the end (its span
+  // outlived Stop(), or the export was taken mid-span) is closed at the
+  // capture's last timestamp. So a capture taken at any moment exports as a
+  // valid trace.
+  std::map<std::pair<int, std::uint32_t>, std::vector<const TraceEvent*>> open;
+  for (const TraceEvent& e : events) {
+    if (e.phase == 'B') {
+      open[{e.pid, e.tid}].push_back(&e);
+    } else if (e.phase == 'E') {
+      auto& stack = open[{e.pid, e.tid}];
+      if (stack.empty()) continue;
+      stack.pop_back();
+    }
+    append(e);
+  }
+  for (auto& [track, stack] : open) {
+    while (!stack.empty()) {
+      TraceEvent end = *stack.back();
+      stack.pop_back();
+      end.phase = 'E';
+      end.ts_us = events.back().ts_us;
+      end.nargs = 0;
+      append(end);
+    }
   }
   out += "\n]}\n";
   return out;

@@ -109,8 +109,8 @@ class Tracer {
 
   /// Append one complete ('X') event on the calling thread's track, from
   /// `ts_us` (a NowUs() reading) to now. Unlike a TraceSpan it is never
-  /// open: a capture stopped and exported while the work runs lacks it
-  /// instead of holding a 'B' without its 'E'. No-op when disabled.
+  /// open: a capture stopped while the work runs lacks it instead of
+  /// showing it cut off at the capture's end. No-op when disabled.
   void EmitComplete(std::uint64_t ts_us, const char* cat, const char* name, int pid,
                     std::initializer_list<TraceArg> args);
 
@@ -126,6 +126,9 @@ class Tracer {
   std::vector<TraceEvent> Snapshot() const;
 
   /// The full capture as Chrome trace-event JSON ({"traceEvents":[...]}).
+  /// A span still open is closed at the capture's last timestamp, and the
+  /// 'E' of a span begun before Start() is dropped, so the export passes
+  /// ValidateChromeTrace whenever it is taken.
   std::string ExportChromeTrace() const;
 
   /// ExportChromeTrace() to a file.

@@ -1,8 +1,9 @@
 // Multi-process deployment tests (docs/deployment.md).
 //
 // Covers the bootstrap wire protocol (serde round trips, version/magic
-// rejection), the coordinator/worker handshake state machines run
-// in-process over real loopback TCP, a Cluster formed over deployment-mode
+// rejection, garbage in the deploy band), the coordinator/worker handshake
+// state machines run in-process over real loopback TCP, the calls a
+// membership change makes, a Cluster formed over deployment-mode
 // workers producing output bit-identical to the in-process emulation and
 // recovering from a killed worker, and —
 // the real thing — eclipse-coordinator and eclipse-worker spawned as
@@ -33,6 +34,7 @@
 #include "apps/deploy_cli.h"
 #include "apps/wordcount.h"
 #include "common/rng.h"
+#include "common/serde.h"
 #include "mr/cluster.h"
 #include "mr/deployment.h"
 #include "mr/worker_host.h"
@@ -46,6 +48,12 @@ namespace {
 
 namespace deploy = net::deploy;
 using namespace std::chrono_literals;
+
+std::string RandomBytes(Rng& rng, std::size_t n) {
+  std::string s(n, '\0');
+  for (auto& c : s) c = static_cast<char>(rng.Next() & 0xFF);
+  return s;
+}
 
 // ---------------------------------------------------------------------------
 // Wire protocol
@@ -62,29 +70,14 @@ TEST(DeploySerde, HelloRoundTrip) {
   EXPECT_EQ(out.advertise_host, "10.1.2.3");
 }
 
-TEST(DeploySerde, WelcomeRoundTripWithRingAndPeers) {
+TEST(DeploySerde, WelcomeRoundTrip) {
   deploy::Welcome in;
   in.node = 3;
   in.cache_capacity = 128ull << 20;
-  in.replication = 3;
-  in.vnodes = 4;
-  in.scheduler_epoch = 42;
-  in.ring = {{0, HashKey{111}}, {1, HashKey{222}}, {0, HashKey{333}}};
-  in.peers = {{0, "hostA", 1234}, {1, "hostB", 5678}};
   deploy::Welcome out;
   ASSERT_TRUE(deploy::DecodeWelcome(deploy::EncodeWelcome(in), &out));
   EXPECT_EQ(out.node, 3);
   EXPECT_EQ(out.cache_capacity, 128ull << 20);
-  EXPECT_EQ(out.replication, 3u);
-  EXPECT_EQ(out.vnodes, 4u);
-  EXPECT_EQ(out.scheduler_epoch, 42u);
-  ASSERT_EQ(out.ring.size(), 3u);
-  EXPECT_EQ(out.ring[2].server, 0);
-  EXPECT_EQ(out.ring[2].position, HashKey{333});
-  ASSERT_EQ(out.peers.size(), 2u);
-  EXPECT_EQ(out.peers[1].node, 1);
-  EXPECT_EQ(out.peers[1].host, "hostB");
-  EXPECT_EQ(out.peers[1].port, 5678);
 }
 
 TEST(DeploySerde, RemainingMessagesRoundTrip) {
@@ -99,24 +92,8 @@ TEST(DeploySerde, RemainingMessagesRoundTrip) {
   EXPECT_EQ(act_out.port, 9999);
 
   deploy::Heartbeat hb_out;
-  ASSERT_TRUE(deploy::DecodeHeartbeat(deploy::EncodeHeartbeat({4, 77}), &hb_out));
+  ASSERT_TRUE(deploy::DecodeHeartbeat(deploy::EncodeHeartbeat({4}), &hb_out));
   EXPECT_EQ(hb_out.node, 4);
-  EXPECT_EQ(hb_out.seq, 77u);
-
-  deploy::RingUpdate ring_out;
-  deploy::RingUpdate ring_in;
-  ring_in.scheduler_epoch = 9;
-  ring_in.ring = {{5, HashKey{42}}};
-  ASSERT_TRUE(deploy::DecodeRingUpdate(deploy::EncodeRingUpdate(ring_in), &ring_out));
-  EXPECT_EQ(ring_out.scheduler_epoch, 9u);
-  ASSERT_EQ(ring_out.ring.size(), 1u);
-  EXPECT_EQ(ring_out.ring[0].server, 5);
-
-  deploy::PeerUpdate peers_out;
-  deploy::PeerUpdate peers_in;
-  peers_in.peers = {{1, "h", 2}};
-  ASSERT_TRUE(deploy::DecodePeerUpdate(deploy::EncodePeerUpdate(peers_in), &peers_out));
-  ASSERT_EQ(peers_out.peers.size(), 1u);
 
   deploy::DiskDelay delay_out;
   ASSERT_TRUE(deploy::DecodeDiskDelay(deploy::EncodeDiskDelay({1500}), &delay_out));
@@ -194,7 +171,7 @@ TEST(Deploy, DuplicateDesiredNodeRejected) {
   coordinator.ShutdownAll();
 }
 
-TEST(Deploy, HandshakeHeartbeatRingPushAndShutdown) {
+TEST(Deploy, HandshakeHeartbeatAndShutdown) {
   mr::DeploymentOptions dopts;
   dopts.heartbeat_interval_ms = 20;
   dopts.cache_capacity = 8ull << 20;
@@ -225,17 +202,82 @@ TEST(Deploy, HandshakeHeartbeatRingPushAndShutdown) {
   EXPECT_GT(coordinator.HeartbeatCount(), 0u);
   EXPECT_GT(worker.heartbeats_sent(), 0u);
 
-  // A pushed ring (epoch 7) lands in the worker's snapshot.
-  dht::Ring ring;
-  ring.AddServer(0, 1);
-  coordinator.PushRing(7, ring);
-  EXPECT_EQ(worker.scheduler_epoch(), 7u);
-
   // Shutdown drains: Serve returns 0 (clean, not coordinator-lost).
   std::thread server([&worker] { EXPECT_EQ(worker.Serve(), 0); });
   coordinator.ShutdownWorker(0);
   server.join();
   EXPECT_TRUE(coordinator.ActiveWorkers().empty());
+}
+
+// The deploy band (500-599) survives garbage from the network, on a worker's
+// data endpoint and on the coordinator's bootstrap endpoint alike: every call
+// is answered, and afterwards the worker still serves a block, the
+// coordinator still counts heartbeats and no worker joined or left. kShutdown
+// is skipped, and kSetDiskDelay gets only truncated payloads: a well-formed
+// one acts by design.
+TEST(Deploy, DeployBandSurvivesGarbagePayloads) {
+  mr::DeploymentOptions dopts;
+  dopts.heartbeat_interval_ms = 20;
+  mr::DeploymentCoordinator coordinator(dopts);
+  ASSERT_GT(coordinator.bootstrap_port(), 0);
+  mr::WorkerHostOptions wopts;
+  wopts.coordinator_port = coordinator.bootstrap_port();
+  wopts.heartbeat_interval_ms = 20;
+  mr::WorkerHost worker(wopts);
+  ASSERT_TRUE(worker.Start()) << worker.error();
+  ASSERT_TRUE(coordinator.WaitForWorkers(1, 2000));
+  const std::vector<int> active = coordinator.ActiveWorkers();
+  worker.dfs_node().blocks().Put("blk", 42, "payload");
+
+  net::TcpTransport client;
+  client.AddPeer(deploy::kCoordinatorNode, "127.0.0.1", coordinator.bootstrap_port());
+  client.AddPeer(worker.node(), "127.0.0.1", worker.data_port());
+  const int endpoints[] = {worker.node(), deploy::kCoordinatorNode};
+  Rng rng(2025);
+  for (std::uint32_t type = deploy::msg::kFirst; type <= deploy::msg::kLast; ++type) {
+    if (type == deploy::msg::kShutdown) continue;
+    for (int round = 0; round < 10; ++round) {
+      const std::size_t len =
+          type == deploy::msg::kSetDiskDelay ? round % 8 : rng.Below(64);
+      const net::Message m{type, RandomBytes(rng, len)};
+      for (int to : endpoints) {
+        net::ScopedDeadline sd(net::Deadline::After(2s));
+        auto resp = client.Call(-1, to, m);
+        ASSERT_TRUE(resp.ok()) << "type " << type << " to " << to << ": "
+                               << resp.status().ToString();
+      }
+    }
+  }
+
+  // The retired ring and peer pushes are unknown to the worker.
+  for (std::uint32_t type : {510u, 511u}) {
+    net::ScopedDeadline sd(net::Deadline::After(2s));
+    auto resp = client.Call(-1, worker.node(), net::Message{type, {}});
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_TRUE(net::IsError(resp.value())) << "type " << type;
+    EXPECT_EQ(net::DecodeError(resp.value()).message(), "unknown control message");
+  }
+
+  BinaryWriter get;
+  get.PutString("blk");
+  {
+    net::ScopedDeadline sd(net::Deadline::After(2s));
+    auto block = client.Call(-1, worker.node(), net::Message{dfs::msg::kGetBlock, get.Take()});
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    ASSERT_FALSE(net::IsError(block.value())) << net::DecodeError(block.value()).ToString();
+    EXPECT_EQ(block.value().payload, "payload");
+  }
+
+  const std::uint64_t heartbeats = coordinator.HeartbeatCount();
+  const auto deadline = std::chrono::steady_clock::now() + 3s;
+  while (coordinator.HeartbeatCount() == heartbeats &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_GT(coordinator.HeartbeatCount(), heartbeats);
+  EXPECT_EQ(coordinator.ActiveWorkers(), active);
+
+  coordinator.ShutdownAll();
 }
 
 TEST(Deploy, ClusterOverDeploymentMatchesInProcessOutput) {
@@ -402,6 +444,35 @@ TEST(Deploy, HeartbeatMonitorRunsTheDepartureOfAVanishedHost) {
     for (const auto& kv : result.output) {
       EXPECT_EQ(kv.value, std::to_string(expected.at(kv.key))) << kv.key;
     }
+  }
+  coordinator->ShutdownAll();
+}
+
+// A membership change sends the worker processes only what the departure
+// itself needs. With no file uploaded, building the cluster makes no call
+// over TCP, and KillServer makes 1 + 2(N-1): the shutdown call, plus one
+// kListBlocks and one kListMetadata per survivor for the repair's inventory.
+TEST(Deploy, MembershipChangesSendWorkersNoControlCalls) {
+  constexpr int kWorkers = 5;
+  auto coordinator = std::make_shared<mr::DeploymentCoordinator>(mr::DeploymentOptions{});
+  ASSERT_GT(coordinator->bootstrap_port(), 0);
+  mr::WorkerHostOptions wopts;
+  wopts.coordinator_port = coordinator->bootstrap_port();
+  std::vector<std::unique_ptr<mr::WorkerHost>> hosts;
+  for (int i = 0; i < kWorkers; ++i) {
+    hosts.push_back(std::make_unique<mr::WorkerHost>(wopts));
+    ASSERT_TRUE(hosts.back()->Start()) << hosts.back()->error();
+  }
+  ASSERT_TRUE(coordinator->WaitForWorkers(kWorkers, 5000));
+  {
+    mr::ClusterOptions copts;
+    copts.deployment = coordinator;
+    mr::Cluster cluster(copts);
+    const Counter& calls = cluster.metrics().GetCounter("net.calls", {{"transport", "tcp"}});
+    EXPECT_EQ(calls.value(), 0u);
+
+    cluster.KillServer(2);
+    EXPECT_EQ(calls.value(), 1u + 2u * (kWorkers - 1));
   }
   coordinator->ShutdownAll();
 }

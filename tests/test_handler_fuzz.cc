@@ -27,7 +27,6 @@ class HandlerFuzz : public ::testing::Test {
     for (int i = 0; i < 3; ++i) {
       dispatchers_.push_back(std::make_unique<net::Dispatcher>());
       dfs_nodes_.push_back(std::make_unique<dfs::DfsNode>(i, *dispatchers_.back()));
-      dfs_nodes_.back()->EnableRouting(transport_, [this] { return std::make_shared<const dht::Ring>(ring_); }, 3);
       cache_nodes_.push_back(
           std::make_unique<cache::CacheNode>(i, *dispatchers_.back(), 4096));
       agents_.push_back(std::make_unique<dht::MembershipAgent>(

@@ -88,36 +88,6 @@ TEST_F(MembershipTest, NeighborsDetectAndPropagateFailure) {
   EXPECT_GE(failures_seen.load(), 1);
 }
 
-TEST_F(MembershipTest, ElectionPicksMaxId) {
-  Boot(4);
-  StartAll();
-  nodes[1]->agent->StartElection();
-  ASSERT_TRUE(Eventually([&] {
-    for (auto& node : nodes) {
-      if (node->agent->coordinator() != 3) return false;
-    }
-    return true;
-  })) << "Chang-Roberts with max-id must elect server 3";
-}
-
-TEST_F(MembershipTest, CoordinatorFailureTriggersReelection) {
-  Boot(4);
-  StartAll();
-  nodes[0]->agent->StartElection();
-  ASSERT_TRUE(Eventually([&] { return nodes[0]->agent->coordinator() == 3; }));
-
-  // Kill the coordinator.
-  nodes[3]->agent->Stop();
-  transport.Register(3, nullptr);
-
-  ASSERT_TRUE(Eventually([&] {
-    for (int i : {0, 1, 2}) {
-      if (nodes[static_cast<std::size_t>(i)]->agent->coordinator() != 2) return false;
-    }
-    return true;
-  })) << "survivors should elect the next-highest id";
-}
-
 TEST_F(MembershipTest, JoinSpreadsToMembers) {
   Boot(3);
   StartAll();

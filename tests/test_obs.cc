@@ -296,6 +296,59 @@ TEST(TraceCaptureTest, SpillCleanupIsOneCompleteEvent) {
   tracer.Clear();
 }
 
+// A span held open on another thread across Stop() exports closed at the
+// capture's last timestamp. Its 'E', emitted into the next session, which
+// never saw the 'B', is dropped from that session's export. Both validate.
+TEST(TraceCaptureTest, SpanOpenAcrossStopExportsValid) {
+  auto& tracer = obs::Tracer::Global();
+  auto count = [](const std::string& json, const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t p = json.find(needle); p != std::string::npos;
+         p = json.find(needle, p + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  std::atomic<int> stage{0};  // 1: span open, 2: release it, 3: span closed, 4: exit
+  tracer.Start();
+  std::thread holder([&stage] {
+    {
+      obs::TraceSpan span("mr", "reduce_task", 2);
+      stage.store(1);
+      while (stage.load() < 2) std::this_thread::yield();
+    }
+    stage.store(3);
+    // Thread exit frees its events: stay alive until both exports are done.
+    while (stage.load() < 4) std::this_thread::yield();
+  });
+  while (stage.load() < 1) std::this_thread::yield();
+  tracer.Emit('i', "sched", "sched_assign", obs::kDriverPid, {});
+  tracer.Stop();
+
+  std::string json = tracer.ExportChromeTrace();
+  auto valid = obs::ValidateChromeTrace(json);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  EXPECT_EQ(count(json, "\"name\":\"reduce_task\""), 2u);  // its 'B' and the closing 'E'
+
+  tracer.Start();
+  stage.store(2);
+  while (stage.load() < 3) std::this_thread::yield();
+  tracer.Stop();
+  // The session holds the span's 'E' alone. (No ASSERT before the join: an
+  // early return would destroy the joinable holder thread.)
+  const std::vector<obs::TraceEvent> events = tracer.Snapshot();
+  EXPECT_EQ(events.size(), 1u);
+  EXPECT_TRUE(!events.empty() && events[0].phase == 'E');
+  json = tracer.ExportChromeTrace();
+  valid = obs::ValidateChromeTrace(json);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  EXPECT_EQ(count(json, "reduce_task"), 0u);
+
+  stage.store(4);
+  holder.join();
+  tracer.Clear();
+}
+
 // The simulator emits the same schema ('X' complete events, sim-time
 // stamps), so the identical Summarize/Validate path reads a sim capture.
 TEST(TraceCaptureTest, SimulatorEmitsSameSchema) {
